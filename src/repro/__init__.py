@@ -20,12 +20,13 @@ Quickstart::
     if not result.valid:
         print(result.counterexample.render())
 
-Layer map (bottom-up): :mod:`repro.bdd` (ROBDDs and MTBDDs),
+Layer map (bottom-up): :mod:`repro.bdd` (MTBDDs),
 :mod:`repro.automata` (explicit + symbolic automata),
 :mod:`repro.mso` (M2L-Str and its compiler), :mod:`repro.stores`
 (concrete stores and the string encoding), :mod:`repro.pascal`
-(front end), :mod:`repro.analysis` (CFGs, dataflow, lints, cone of
-influence), :mod:`repro.storelogic` (the assertion logic),
+(front end), :mod:`repro.analysis` (CFGs, dataflow, lints, the
+relevance pass behind slicing and the cone of influence),
+:mod:`repro.storelogic` (the assertion logic),
 :mod:`repro.symbolic` (transduction engine), :mod:`repro.exec`
 (concrete interpreter), :mod:`repro.verify` (the Hoare engine), and
 :mod:`repro.programs` (the paper's example corpus).

@@ -2,16 +2,16 @@
 
 The package serves three consumers: the ``repro lint`` CLI subcommand
 (:func:`lint_source` / :func:`lint_program`); the verifier's subgoal
-preparation — cone-of-influence track reduction
-(:func:`cone_of_influence`), statement-level backward slicing
-(:func:`slice_statements`) and dependency-driven BDD track ordering
+preparation — one backward relevance pass that both slices statements
+and keeps tracks (:func:`slice_statements`; with slicing off,
+:func:`cone_of_influence`) and dependency-driven BDD track ordering
 (:func:`choose_order`); and the verdict cache, which keys subgoals by
 the content fingerprints of :mod:`repro.analysis.fingerprint`.
 """
 
 from repro.analysis.cfg import CFG, Edge, Node, from_program, \
     from_statements
-from repro.analysis.coi import cone_of_influence, guard_vars
+from repro.analysis.coi import cone_of_influence
 from repro.analysis.dataflow import Analysis, DataflowResult, solve
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.fingerprint import (CACHE_SCHEMA_VERSION,
@@ -22,7 +22,8 @@ from repro.analysis.fingerprint import (CACHE_SCHEMA_VERSION,
 from repro.analysis.lints import lint_program, lint_source
 from repro.analysis.order import affinity_graph, choose_order
 from repro.analysis.slice import (SliceResult, dropped_statements,
-                                  slice_statements, statement_count)
+                                  guard_vars, slice_statements,
+                                  statement_count)
 
 __all__ = [
     "Analysis",

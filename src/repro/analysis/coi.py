@@ -1,50 +1,20 @@
-"""Cone-of-influence: which variables can affect a subgoal's verdict.
+"""Cone of influence: which variables can affect a subgoal's verdict.
 
-A subgoal (:class:`repro.verify.engine.Subgoal`) checks obligations
-over the store reached by a loop-free statement sequence, under
-assumed obligations over the initial store, plus the two
-well-formedness predicates.  A pointer variable whose value cannot
-reach any obligation — through assignments, dereferences, heap writes
-or control flow — contributes a full automaton track for nothing; the
-verifier drops it (:class:`repro.symbolic.layout.TrackLayout` with a
-``variables`` subset) and assumes it nil initially.
-
-The pass is a backward may-influence analysis over the statements:
-
-* the seed set is every variable free in a check formula or a loop
-  guard obligation — conditions read from the *final* store, which is
-  why assignments in between may kill them; variables of assume
-  formulas are read from the *initial* store and join the keep set
-  after the pass, untouched by kills (an assignment downstream cannot
-  make the initial value irrelevant: dropping the track would pin the
-  variable to nil in the initial store and change what the assumption
-  means);
-* ``v := path`` kills ``v`` and gens the path's variable (when ``v``
-  is relevant); any dereference also gens its base unconditionally,
-  because a dereference can *fail* and the error outcome is always
-  checked;
-* heap writes (``cell^.f := ...``) and ``new`` through a field gen
-  their cell path unconditionally — they change the heap every later
-  obligation reads;
-* branch guards gen their variables unconditionally (they decide
-  which effects happen, and evaluating them can fail).
-
-Two classes of variables are never dropped:
-
-* **data variables** — their segments carry the string encoding's
-  structure, so removing their tracks changes well-formedness itself;
-* **everything, when the statements dispose** — ``dispose`` can leave
-  an otherwise-irrelevant variable dangling, which only that
-  variable's ``wf_graph`` conjunct notices.
+A pointer variable whose value cannot reach any obligation — through
+assignments, dereferences, heap writes or control flow — contributes
+a full automaton track for nothing; the verifier drops it and assumes
+it nil initially.  The answer is the kept-track set of the one
+backward relevance pass in :mod:`repro.analysis.slice`, run with
+statement dropping off: with slicing on, the verifier takes the
+tracks from :func:`repro.analysis.slice.slice_statements` instead,
+and this entry point serves ``--no-slice``.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Iterable, Sequence
 
-from repro.pascal.typed import (FieldLhs, TAnd, TAssign, TDispose, TGuard,
-                                TIf, TNew, TNot, TOr, TPath, TPtrCompare,
-                                TVariantTest, VarLhs)
+from repro.analysis.slice import relevance
 from repro.stores.schema import Schema
 
 
@@ -61,86 +31,5 @@ def cone_of_influence(statements: Sequence[object],
     read from the *initial* store (assume obligations) and are kept
     unconditionally — an assignment in the statements must not hide
     them."""
-    if _disposes(statements):
-        return frozenset(schema.all_vars())
-    relevant = frozenset(seeds) | frozenset(schema.data_vars)
-    return _backward(statements, relevant) | frozenset(assume_seeds)
-
-
-def guard_vars(guard: TGuard) -> FrozenSet[str]:
-    """All variables a guard expression mentions."""
-    if isinstance(guard, TPtrCompare):
-        return _path_vars(guard.left) | _path_vars(guard.right)
-    if isinstance(guard, TVariantTest):
-        return frozenset([guard.cell.var])
-    if isinstance(guard, (TAnd, TOr)):
-        return guard_vars(guard.left) | guard_vars(guard.right)
-    if isinstance(guard, TNot):
-        return guard_vars(guard.inner)
-    raise TypeError(f"unknown guard node {guard!r}")
-
-
-def _path_vars(path) -> FrozenSet[str]:
-    if path is None:
-        return frozenset()
-    return frozenset([path.var])
-
-
-def _disposes(statements: Sequence[object]) -> bool:
-    for statement in statements:
-        if isinstance(statement, TDispose):
-            return True
-        if isinstance(statement, TIf) and (
-                _disposes(statement.then_body)
-                or _disposes(statement.else_body)):
-            return True
-    return False
-
-
-def _backward(statements: Sequence[object],
-              relevant: FrozenSet[str]) -> FrozenSet[str]:
-    for statement in reversed(statements):
-        relevant = _transfer(statement, relevant)
-    return relevant
-
-
-def _transfer(statement: object,
-              relevant: FrozenSet[str]) -> FrozenSet[str]:
-    if isinstance(statement, TAssign):
-        return _assign(statement.lhs, statement.rhs, relevant)
-    if isinstance(statement, TNew):
-        # Allocation picks the first garbage cell deterministically —
-        # no variable feeds the chosen value or the oom outcome.
-        if isinstance(statement.lhs, VarLhs):
-            return relevant - {statement.lhs.name}
-        return relevant | {statement.lhs.cell.var}
-    if isinstance(statement, TDispose):
-        # Only reached when the caller skipped the dispose guard in
-        # cone_of_influence; stay conservative.
-        return relevant | {statement.path.var}
-    if isinstance(statement, TIf):
-        joined = _backward(statement.then_body, relevant) \
-            | _backward(statement.else_body, relevant)
-        return joined | guard_vars(statement.cond)
-    raise TypeError(
-        f"cone of influence expects loop-free statements, "
-        f"got {statement!r}")
-
-
-def _assign(lhs: object, rhs: object,
-            relevant: FrozenSet[str]) -> FrozenSet[str]:
-    if isinstance(lhs, FieldLhs):
-        gen = {lhs.cell.var}
-        if rhs is not None:
-            gen.add(rhs.var)
-        return relevant | gen
-    assert isinstance(lhs, VarLhs)
-    result = relevant
-    if isinstance(rhs, TPath) and rhs.steps:
-        # The dereference can fail; its base always matters.
-        result = result | {rhs.var}
-    if lhs.name in result:
-        result = result - {lhs.name}
-        if rhs is not None:
-            result = result | {rhs.var}
-    return result
+    return relevance(statements, seeds, assume_seeds, schema,
+                     drop=False).tracks

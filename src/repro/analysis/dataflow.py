@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Generic, List, Optional, Sequence, TypeVar
+from typing import Dict, Generic, Optional, Sequence, TypeVar
 
 from repro.analysis.cfg import CFG, Edge, Node
 

@@ -38,7 +38,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.analysis import cfg as cfg_mod
 from repro.analysis.cfg import ANNOTATION, BRANCH, CFG, Edge, Node
-from repro.analysis.coi import guard_vars
+from repro.analysis.slice import guard_vars
 from repro.analysis.dataflow import (Analysis, BACKWARD, DataflowResult,
                                      FORWARD, solve)
 from repro.analysis.diagnostics import Diagnostic, Severity

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.analysis.coi import guard_vars
+from repro.analysis.slice import guard_vars
 from repro.pascal.typed import (FieldLhs, TAnd, TAssign, TDispose, TIf,
                                 TNew, TNot, TOr, TPtrCompare,
-                                TVariantTest, VarLhs)
+                                TVariantTest)
 from repro.stores.schema import Schema
 
 #: Edge weights: statements couple variables through the transduction

@@ -1,42 +1,49 @@
-"""Statement-level backward slicing of loop-free subgoals.
+"""One backward relevance pass over a loop-free subgoal.
 
-PR 2's cone of influence (:mod:`repro.analysis.coi`) shrinks a
-subgoal's *alphabet*: tracks of variables that cannot reach an
-obligation are dropped.  This pass shrinks the subgoal's *program*:
-statements whose only effect is a value no obligation can observe are
-removed before symbolic execution, so the transduction wraps fewer
-predicates and the compiled automata stay smaller still.
+A subgoal (:class:`repro.verify.engine.Subgoal`) checks obligations
+over the store reached by a loop-free statement sequence, under
+assumed obligations over the initial store, plus the two
+well-formedness predicates.  This pass walks the statements backward
+once, from the variables the *check* obligations read plus every data
+variable, and answers two questions at the same time:
 
-The slice is computed by per-point backward liveness (the same
-discipline as the ``dead-assignment`` lint, specialised to one
-loop-free triple), seeded with the variables free in the subgoal's
-*check* obligations plus every data variable.  Assume obligations read
-the **initial** store, so — exactly as in the cone-of-influence pass —
-they are irrelevant here: removing a statement never changes what the
-initial store satisfies.
+* which statements can be **dropped** before symbolic execution
+  (:func:`slice_statements`), so the transduction wraps fewer
+  predicates;
+* which variables keep an automaton **track** — the live-in set, the
+  variables of the assume obligations and the data variables.  Every
+  other variable is dropped from the alphabet
+  (:class:`repro.symbolic.layout.TrackLayout` with a ``variables``
+  subset) and assumed nil initially.
+  :func:`repro.analysis.coi.cone_of_influence` is the same pass with
+  dropping off, for the ``--no-slice`` path.
 
-Soundness rules (why a dropped statement cannot change the verdict;
-``docs/ARCHITECTURE.md`` §11 carries the full argument):
+Soundness rules (``docs/ARCHITECTURE.md`` §8 carries the argument):
 
-* only pure variable copies are droppable — ``v := nil`` or
-  ``v := u`` with a step-free right-hand side.  Dereferencing
-  assignments can *fail* (the ``~error`` conjunct observes them),
-  heap writes change the graph every obligation reads, ``new`` has
-  the ``oom`` outcome and relabels a cell, and ``dispose`` both
-  relabels and can leave dangling pointers;
-* a droppable copy is dropped iff its target is **dead**: not live
-  into any check obligation or any kept later statement.  The final
-  value of ``v`` then only feeds ``wf_graph``'s per-variable target
-  conjunct, which holds either way — without ``dispose`` every value
-  a variable can hold is nil or a correctly-typed cell;
-* nothing is sliced when the statements dispose (mirroring the
-  cone-of-influence rule: ``dispose`` makes *every* variable's final
-  value observable through dangling-pointer well-formedness);
+* check obligations read the *final* store, so their variables flow
+  backward through kills; assume obligations read the *initial* store,
+  so their variables keep their tracks unconditionally (pinning one to
+  nil would change what the assumption means) and never keep a
+  statement (removing a statement cannot change the initial store);
+* data variables are always live: their segments carry the string
+  encoding's structure;
+* when the statements dispose, nothing is dropped and every variable
+  keeps its track: ``dispose`` can leave any variable dangling, which
+  only that variable's ``wf_graph`` conjunct notices;
+* ``v := path`` kills ``v`` and gens the path's variable when ``v`` is
+  live; a dereference can *fail* (the ``~error`` conjunct observes
+  it), so it always gens its base and is never dropped;
+* heap writes and ``new`` are never dropped (they change the graph
+  every obligation reads; ``new`` has the ``oom`` outcome) and gen the
+  cell they write through;
+* only a pure copy — ``v := nil`` or ``v := u`` — whose target is dead
+  is dropped: its final value only feeds ``wf_graph``'s per-variable
+  target conjunct, which holds either way without ``dispose``;
 * a conditional is dropped whole only when both sliced branches are
-  empty **and** its guard cannot fail (every atom is a pointer
-  comparison of step-free paths; a variant test always dereferences).
-  A kept conditional keeps its guard variables live and slices each
-  branch against the join's liveness.
+  empty **and** its guard cannot fail (every atom a pointer comparison
+  of step-free paths; a variant test always dereferences).  A kept
+  conditional gens its guard variables and slices each branch against
+  the join's liveness.
 """
 
 from __future__ import annotations
@@ -44,23 +51,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.analysis.coi import guard_vars
-from repro.pascal.typed import (FieldLhs, TAnd, TAssign, TDispose, TIf,
-                                TNew, TNot, TOr, TPath, TPtrCompare,
-                                VarLhs)
+from repro.pascal.typed import (FieldLhs, TAnd, TAssign, TDispose, TGuard,
+                                TIf, TNew, TNot, TOr, TPath, TPtrCompare,
+                                TVariantTest, VarLhs)
 from repro.stores.schema import Schema
 
 
 @dataclass(frozen=True)
 class SliceResult:
-    """One subgoal's slice: the kept statements and the counts the
-    reports and metrics surface."""
+    """One subgoal's relevance: the kept statements, the kept tracks
+    and the counts the reports and metrics surface."""
 
     statements: Tuple[object, ...]
     #: Statements of the original subgoal, counted recursively.
     before: int
     #: Statements of the slice, counted recursively.
     after: int
+    #: Variables that keep an automaton track: the live-in set, the
+    #: assume variables and the data variables (every variable when
+    #: the statements dispose).
+    tracks: FrozenSet[str]
 
     @property
     def dropped(self) -> int:
@@ -69,16 +79,50 @@ class SliceResult:
 
 def slice_statements(statements: Sequence[object],
                      check_seeds: Iterable[str],
-                     schema: Schema) -> SliceResult:
+                     schema: Schema,
+                     assume_seeds: Iterable[str] = ()) -> SliceResult:
     """Slice a loop-free statement sequence against the variables the
-    check obligations read (data variables are always live)."""
+    check obligations read; the result also holds the kept tracks
+    (the slice's live-in variables, ``assume_seeds`` and the data
+    variables)."""
+    return relevance(statements, check_seeds, assume_seeds, schema,
+                     drop=True)
+
+
+def relevance(statements: Sequence[object], check_seeds: Iterable[str],
+              assume_seeds: Iterable[str], schema: Schema,
+              drop: bool) -> SliceResult:
+    """The backward pass behind :func:`slice_statements` (``drop``)
+    and :func:`repro.analysis.coi.cone_of_influence` (no ``drop``)."""
     original = tuple(statements)
     before = statement_count(original)
     if _disposes(original):
-        return SliceResult(original, before, before)
-    live = frozenset(check_seeds) | frozenset(schema.data_vars)
-    kept, _ = _slice_backward(original, live)
-    return SliceResult(tuple(kept), before, statement_count(kept))
+        return SliceResult(original, before, before,
+                           frozenset(schema.all_vars()))
+    data_vars = frozenset(schema.data_vars)
+    kept, live = _backward(original, frozenset(check_seeds) | data_vars,
+                           drop)
+    return SliceResult(tuple(kept), before, statement_count(kept),
+                       live | frozenset(assume_seeds) | data_vars)
+
+
+def guard_vars(guard: TGuard) -> FrozenSet[str]:
+    """All variables a guard expression mentions."""
+    if isinstance(guard, TPtrCompare):
+        return _path_vars(guard.left) | _path_vars(guard.right)
+    if isinstance(guard, TVariantTest):
+        return frozenset([guard.cell.var])
+    if isinstance(guard, (TAnd, TOr)):
+        return guard_vars(guard.left) | guard_vars(guard.right)
+    if isinstance(guard, TNot):
+        return guard_vars(guard.inner)
+    raise TypeError(f"unknown guard node {guard!r}")
+
+
+def _path_vars(path) -> FrozenSet[str]:
+    if path is None:
+        return frozenset()
+    return frozenset([path.var])
 
 
 def dropped_statements(original: Sequence[object],
@@ -134,28 +178,40 @@ def _disposes(statements: Sequence[object]) -> bool:
     return False
 
 
-def _slice_backward(statements: Sequence[object],
-                    live: FrozenSet[str]
-                    ) -> Tuple[List[object], FrozenSet[str]]:
-    """Slice one straight-line (possibly branching) sequence against
+def _backward(statements: Sequence[object], live: FrozenSet[str],
+              drop: bool) -> Tuple[List[object], FrozenSet[str]]:
+    """Walk one straight-line (possibly branching) sequence against
     the live-out set; returns (kept statements, live-in set)."""
     kept: List[object] = []
     for statement in reversed(statements):
-        keep, live = _transfer(statement, live)
+        keep, live = _transfer(statement, live, drop)
         if keep is not None:
             kept.append(keep)
     kept.reverse()
     return kept, live
 
 
-def _transfer(statement: object, live: FrozenSet[str]):
-    """One backward step: (kept statement or None, live-before)."""
+def _transfer(statement: object, live: FrozenSet[str], drop: bool):
+    """One backward step: (kept statement or None, live-before).
+    Without ``drop`` every statement is kept."""
     if isinstance(statement, TAssign):
-        return _transfer_assign(statement, live)
+        lhs, rhs = statement.lhs, statement.rhs
+        if isinstance(lhs, FieldLhs):
+            gen = {lhs.cell.var}
+            if rhs is not None:
+                gen.add(rhs.var)
+            return statement, live | gen
+        assert isinstance(lhs, VarLhs)
+        derefs = isinstance(rhs, TPath) and bool(rhs.steps)
+        if not derefs and lhs.name not in live:
+            # A dead pure copy: cannot error, touches no heap edge,
+            # and its value reaches no obligation.
+            return (None if drop else statement), live
+        live = live - {lhs.name}
+        if rhs is not None:
+            live = live | {rhs.var}
+        return statement, live
     if isinstance(statement, TNew):
-        # new() is never droppable: the oom outcome joins the assume
-        # side and the relabelled cell changes the heap every
-        # obligation reads.  A variable target is still a kill.
         if isinstance(statement.lhs, VarLhs):
             return statement, live - {statement.lhs.name}
         return statement, live | {statement.lhs.cell.var}
@@ -164,40 +220,21 @@ def _transfer(statement: object, live: FrozenSet[str]):
         # keep it and stay conservative.
         return statement, live | {statement.path.var}
     if isinstance(statement, TIf):
-        then_kept, then_live = _slice_backward(statement.then_body, live)
-        else_kept, else_live = _slice_backward(statement.else_body, live)
+        then_kept, then_live = _backward(statement.then_body, live, drop)
+        else_kept, else_live = _backward(statement.else_body, live, drop)
+        joined = then_live | else_live | guard_vars(statement.cond)
+        if not drop:
+            return statement, joined
         if not then_kept and not else_kept and \
                 _guard_cannot_fail(statement.cond):
             # Both branches sliced empty and the guard cannot error:
             # the conditional has no observable effect at all.
             return None, live
-        replacement = TIf(cond=statement.cond,
-                          then_body=tuple(then_kept),
-                          else_body=tuple(else_kept),
-                          line=statement.line)
-        return replacement, \
-            then_live | else_live | guard_vars(statement.cond)
+        return TIf(cond=statement.cond, then_body=tuple(then_kept),
+                   else_body=tuple(else_kept), line=statement.line), \
+            joined
     raise TypeError(
-        f"slicing expects loop-free statements, got {statement!r}")
-
-
-def _transfer_assign(statement: TAssign, live: FrozenSet[str]):
-    lhs, rhs = statement.lhs, statement.rhs
-    if isinstance(lhs, FieldLhs):
-        gen = {lhs.cell.var}
-        if rhs is not None:
-            gen.add(rhs.var)
-        return statement, live | gen
-    assert isinstance(lhs, VarLhs)
-    derefs = isinstance(rhs, TPath) and bool(rhs.steps)
-    if not derefs and lhs.name not in live:
-        # A dead pure copy: cannot error, touches no heap edge, and
-        # its value reaches no obligation.  Drop it.
-        return None, live
-    result = live - {lhs.name}
-    if rhs is not None:
-        result = result | {rhs.var}
-    return statement, result
+        f"relevance expects loop-free statements, got {statement!r}")
 
 
 def _guard_cannot_fail(guard: object) -> bool:

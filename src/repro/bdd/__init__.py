@@ -1,21 +1,16 @@
 """Binary decision diagrams.
 
-Two managers live here:
+:class:`repro.bdd.mtbdd.Mtbdd` manages *multi-terminal* BDDs whose
+leaves are arbitrary hashable values.  The symbolic automata in
+:mod:`repro.automata.symbolic` (and the tree automata in
+:mod:`repro.treemso.automata`) store one MTBDD per state, with target
+states (or sets of states during determinisation) as leaves.  This is
+the representation that made Mona practical (paper §6).
 
-* :class:`repro.bdd.robdd.Bdd` — classic reduced ordered *Boolean* BDDs
-  (terminals ``0``/``1``), with the full algebra (apply, ite, restrict,
-  quantification, model counting and enumeration).
-* :class:`repro.bdd.mtbdd.Mtbdd` — *multi-terminal* BDDs whose leaves
-  are arbitrary hashable values.  The symbolic automata in
-  :mod:`repro.automata.symbolic` store one MTBDD per state, with target
-  states (or sets of states during determinisation) as leaves.  This is
-  the representation that made Mona practical (paper §6).
-
-Both managers hash-cons nodes, so structural equality of diagrams is
+The manager hash-conses nodes, so structural equality of diagrams is
 pointer equality of node indices, and memoised operations are cheap.
 """
 
-from repro.bdd.robdd import Bdd
 from repro.bdd.mtbdd import Mtbdd
 
-__all__ = ["Bdd", "Mtbdd"]
+__all__ = ["Mtbdd"]

@@ -43,12 +43,12 @@ limit degrades to a structured TIMEOUT/BUDGET_EXCEEDED outcome instead
 of hanging (see ``docs/ARCHITECTURE.md`` §9).
 
 ``--jobs N`` (``-j N``) fans subgoals (``verify``) or whole programs
-(``table``) across N worker processes with work stealing; ``-j 0``
-means one worker per CPU, and the default 1 keeps everything
-in-process.  Reports are verdict- and schema-identical either way
-(``docs/ARCHITECTURE.md`` §10); under ``--timeout`` the run deadline
-is partitioned across subgoals so a stuck worker cannot starve its
-siblings.
+(``table``) across N worker processes, each idle worker taking the
+next task in submission order; ``-j 0`` means one worker per CPU, and
+the default 1 keeps everything in-process.  Reports are verdict- and
+schema-identical either way (``docs/ARCHITECTURE.md`` §10); under
+``--timeout`` the run deadline is partitioned across subgoals so a
+stuck worker cannot starve its siblings.
 
 Exit codes (``verify`` and ``table``): 0 verified, 1 failed with a
 counterexample, 2 usage or front-end error, 3 degraded (a budget limit

@@ -9,13 +9,13 @@ verdict-identical with a sequential run.
 
 Module map:
 
-* :mod:`repro.parallel.schedule` — deterministic work-stealing order
-  and deadline partitioning (pure; fake-clock testable);
 * :mod:`repro.parallel.wire` — picklable task/result payloads;
 * :mod:`repro.parallel.worker` — worker-process entry points;
-* :mod:`repro.parallel.supervise` — the supervised pool: heartbeat
-  and exit-code watch, respawn, retry with backoff, quarantine;
-* :mod:`repro.parallel.pool` — the executor and the merge logic.
+* :mod:`repro.parallel.supervise` — the supervised pool: a FIFO task
+  queue, heartbeat and exit-code watch, respawn, retry with backoff,
+  quarantine;
+* :mod:`repro.parallel.pool` — the executor: index-order submission,
+  deadline partitioning and the merge logic.
 
 Worker death is a *normal event* here: a crashed, OOM-killed or hung
 worker is respawned and its in-flight task retried; a task that kills
@@ -27,16 +27,14 @@ identical normalized reports.
 """
 
 from repro.parallel.pool import (crash_subgoal_wire, engine_options,
-                                 error_subgoal_wire, resolve_jobs,
-                                 run_table, verify_parallel)
-from repro.parallel.schedule import (Task, WorkStealingScheduler,
-                                     partition_deadline)
+                                 error_subgoal_wire, partition_deadline,
+                                 resolve_jobs, run_table,
+                                 verify_parallel)
 from repro.parallel.supervise import (CrashReply, SupervisedPool,
                                       run_supervised)
 from repro.parallel.wire import EngineOptions
 
-__all__ = ["CrashReply", "EngineOptions", "SupervisedPool", "Task",
-           "WorkStealingScheduler", "crash_subgoal_wire",
-           "engine_options", "error_subgoal_wire",
+__all__ = ["CrashReply", "EngineOptions", "SupervisedPool",
+           "crash_subgoal_wire", "engine_options", "error_subgoal_wire",
            "partition_deadline", "resolve_jobs", "run_supervised",
            "run_table", "verify_parallel"]

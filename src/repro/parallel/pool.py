@@ -1,4 +1,4 @@
-"""The process-pool executor: fan out, steal work, merge, reassemble.
+"""The process-pool executor: fan out, merge, reassemble.
 
 Parallel verification is only worth having if it is *observationally
 equivalent* to the sequential engine — same verdicts, same outcomes,
@@ -9,6 +9,9 @@ The design here buys that equivalence structurally:
   isolation (one subgoal, or one whole program for ``table``), decided
   by the very same :class:`~repro.verify.engine.Verifier` code path in
   the worker, with a fresh BDD manager per attempt as always;
+* tasks enter the supervised pool's FIFO queue
+  (:mod:`repro.parallel.supervise`) in index order, and an idle
+  worker takes the next one;
 * workers ship back plain data (:mod:`repro.parallel.wire`); the
   parent reassembles results **in subgoal order**, so every reporter
   and the JSON document see the order a sequential run would produce;
@@ -19,14 +22,15 @@ The design here buys that equivalence structurally:
   aggregate through the existing ``CompilationStats.merge``.
 
 The one documented divergence: a run deadline is *partitioned*
-(:func:`repro.parallel.schedule.partition_deadline`) rather than
-shared absolutely, so a stuck worker exhausts only its own slice and
-can never starve its siblings.  ``tests/diffcheck.py`` is the
-enforcement arm of this module's contract.
+(:func:`partition_deadline`) rather than shared absolutely, so a
+stuck worker exhausts only its own slice and can never starve its
+siblings.  ``tests/diffcheck.py`` is the enforcement arm of this
+module's contract.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
@@ -35,8 +39,6 @@ from repro.errors import ReproError
 from repro.mso.compile import CompilationStats
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import current_metrics
-from repro.parallel.schedule import (WorkStealingScheduler,
-                                     partition_deadline)
 from repro.parallel.supervise import CrashReply, run_supervised
 from repro.parallel.wire import (EngineOptions, ProgramTask, SubgoalTask,
                                  WireSubgoalResult, WorkerReply,
@@ -55,6 +57,27 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
+
+
+def partition_deadline(remaining: Optional[float], pending: int,
+                       workers: int) -> Optional[float]:
+    """Per-task wall-clock slice of one shared deadline.
+
+    With ``pending`` tasks on ``workers`` workers the tasks run in at
+    most ``ceil(pending / workers)`` waves, and each task gets
+    ``remaining / waves``: even if a worker wedges inside its slice,
+    every other task still owns enough of the deadline to run.
+    Returns None when there is no deadline.  A non-positive
+    ``remaining`` yields 0.0 — every task's budget trips immediately,
+    mirroring the sequential engine's behaviour once its absolute
+    deadline has passed.
+    """
+    if remaining is None:
+        return None
+    if remaining <= 0 or pending <= 0:
+        return 0.0
+    waves = math.ceil(pending / max(1, workers))
+    return remaining / waves
 
 
 def engine_options(verifier: Verifier) -> EngineOptions:
@@ -149,23 +172,17 @@ def verify_parallel(verifier: Verifier) -> VerificationResult:
     options = engine_options(verifier)
 
     result = VerificationResult(program.name)
-    if verifier._make_budget(verifier.timeout) is not None:
-        result.budget = {
-            "timeout": verifier.timeout,
-            "max_bdd_nodes": verifier.max_bdd_nodes,
-            "max_states": verifier.max_states,
-            "max_steps": verifier.max_steps,
-        }
+    budget = verifier._make_budget(verifier.timeout)
+    if budget is not None:
+        result.budget = budget.limits()
 
-    scheduler = WorkStealingScheduler()
-    for index, subgoal in enumerate(subgoals):
-        scheduler.add(index, cost=worker_mod.subgoal_cost(subgoal))
-    order = [task.key for task in scheduler.drain()]
-    slice_seconds = partition_deadline(verifier.timeout, len(order), jobs)
+    indices = list(range(len(subgoals)))
+    slice_seconds = partition_deadline(verifier.timeout, len(indices),
+                                       jobs)
     payloads: List[object] = [
         SubgoalTask(program=program, index=index, options=options,
                     timeout_slice=slice_seconds)
-        for index in order]
+        for index in indices]
 
     collector = _ReplyCollector()
     wires: Dict[int, object] = {}
@@ -195,7 +212,7 @@ def verify_parallel(verifier: Verifier) -> VerificationResult:
         with obs_trace.span("verify", program=program.name,
                             parallel=True, jobs=jobs,
                             subgoals=len(subgoals)):
-            interrupted = run_supervised(payloads, list(order),
+            interrupted = run_supervised(payloads, indices,
                                          worker_mod.run_subgoal_task,
                                          jobs, on_reply)
     if errors:

@@ -18,30 +18,16 @@ and keeps fault-injection behaviour identical to the in-process path.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, activate_metrics
 from repro.pascal import check_program, parse_program
 from repro.parallel.wire import (EngineOptions, ProgramTask, SubgoalTask,
-                                 WireRun, WorkerReply,
-                                 wire_run, wire_subgoal_result)
+                                 WorkerReply, wire_run,
+                                 wire_subgoal_result)
 from repro.programs import load_source
-from repro.robust import faults
 from repro.verify.engine import VerificationResult, Verifier
-
-
-def initialize(faults_spec: str = "") -> None:
-    """Pool initializer.
-
-    Under the default ``fork`` start method the worker inherits the
-    parent's installed fault plan; under ``spawn`` it would not, so
-    the parent forwards the ``REPRO_FAULTS`` spec explicitly.  Count-
-    limited fault rules (``site:kind:1``) are therefore *per worker*
-    in a parallel run, not global — documented in ARCHITECTURE §10.
-    """
-    if faults_spec:
-        faults.install(faults.parse_plan(faults_spec))
 
 
 def _verifier_for(program: object, options: EngineOptions,
@@ -122,16 +108,3 @@ def run_program_task(task: ProgramTask) -> WorkerReply:
     except BaseException as exc:  # noqa: BLE001 — see run_subgoal_task
         return WorkerReply(kind="error", key=task.name, value=exc,
                            pid=os.getpid(), metrics=metrics)
-
-
-def subgoal_cost(subgoal: object) -> float:
-    """Scheduling cost proxy: obligations + statements of a subgoal.
-
-    Any monotone proxy works — this one is cheap, deterministic, and
-    puts loop-preservation subgoals (many statements, several
-    obligations) ahead of trivial entry subgoals.
-    """
-    statements: Tuple[object, ...] = getattr(subgoal, "statements", ())
-    assume = getattr(subgoal, "assume", ())
-    check = getattr(subgoal, "check", ())
-    return float(len(statements) + len(assume) + len(check))

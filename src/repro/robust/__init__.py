@@ -3,7 +3,7 @@
 The pipeline's worst case is non-elementary, so production use needs a
 guarantee stronger than "usually fast": **every verification
 terminates with a structured verdict**.  This package supplies the
-three pieces:
+two pieces:
 
 * :mod:`repro.robust.budget` — a :class:`Budget` (wall-clock deadline,
   BDD-node cap, automaton-state cap, step fuel) with cheap cooperative
@@ -11,13 +11,11 @@ three pieces:
   structured :class:`BudgetExceeded`;
 * :mod:`repro.robust.faults` — deterministic fault injection at named
   pipeline sites (env var ``REPRO_FAULTS`` or the :func:`injected`
-  context manager), so the error paths are testable;
-* :mod:`repro.robust.recursion` — the :func:`deep_recursion` guard
-  behind the hardened BDD recursions.
+  context manager), so the error paths are testable.
 
-The verification engine (:mod:`repro.verify.engine`) consumes all
-three: each subgoal is decided under the active budget, a tripped
-budget or internal error triggers one retry under the alternate
+The verification engine (:mod:`repro.verify.engine`) consumes both:
+each subgoal is decided under the active budget, a tripped budget or
+internal error triggers one retry under the alternate
 cone-of-influence configuration, and irrecoverable subgoals are
 recorded as ``TIMEOUT`` / ``BUDGET_EXCEEDED`` / ``ERROR`` outcomes
 instead of aborting the run.
@@ -28,9 +26,8 @@ from repro.robust.budget import (NULL_BUDGET, Budget, BudgetExceeded,
 from repro.robust.faults import (FAULT_KINDS, FAULT_SITES, FaultPlan,
                                  FaultSpecError, injected, install,
                                  install_from_env, parse_plan)
-from repro.robust.recursion import DEEP_RECURSION_LIMIT, deep_recursion
 
 __all__ = ["Budget", "BudgetExceeded", "NULL_BUDGET", "activate",
            "current_budget", "FAULT_KINDS", "FAULT_SITES", "FaultPlan",
            "FaultSpecError", "injected", "install", "install_from_env",
-           "parse_plan", "DEEP_RECURSION_LIMIT", "deep_recursion"]
+           "parse_plan"]

@@ -8,10 +8,10 @@ that every verification terminates with a verdict.
 
 The pattern mirrors :mod:`repro.obs.trace`: a process-wide *active*
 budget defaulting to :data:`NULL_BUDGET`, whose checks are no-ops, so
-the cancellation points in the hot loops (:mod:`repro.bdd.robdd`,
-:mod:`repro.bdd.mtbdd`, :mod:`repro.automata.symbolic`,
-:mod:`repro.mso.compile`, :mod:`repro.symbolic.exec`) cost one
-function call when no budget is set.
+the cancellation points in the hot loops (:mod:`repro.bdd.mtbdd`,
+:mod:`repro.automata.symbolic`, :mod:`repro.mso.compile`,
+:mod:`repro.symbolic.exec`) cost one function call when no budget is
+set.
 
 Three kinds of check, from hottest to coldest:
 
@@ -25,8 +25,10 @@ Three kinds of check, from hottest to coldest:
   boundaries (subgoal start, compilation start).
 
 The wall-clock deadline is *absolute* — shared by every subgoal of a
-run — while the node/state caps apply to each attempt's fresh BDD
-manager.  See ``docs/ARCHITECTURE.md`` §9.
+sequential run; a parallel run gives each task its own slice of it
+(:func:`repro.parallel.pool.partition_deadline`) — while the
+node/state caps apply to each attempt's fresh BDD manager.  See
+``docs/ARCHITECTURE.md`` §9.
 
 Example:
     >>> budget = Budget(max_steps=10)

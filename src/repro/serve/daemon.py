@@ -41,9 +41,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.parallel.pool import (crash_subgoal_wire, engine_options,
-                                 error_subgoal_wire)
-from repro.parallel.schedule import (WorkStealingScheduler,
-                                     partition_deadline)
+                                 error_subgoal_wire, partition_deadline)
 from repro.parallel.supervise import CrashReply, SupervisedPool
 from repro.parallel.wire import SubgoalTask, rebuild_subgoal_result
 from repro.parallel import worker as worker_mod
@@ -252,23 +250,15 @@ class VerificationService:
         options = engine_options(verifier)
 
         result = VerificationResult(program.name)
-        if verifier._make_budget(request.timeout) is not None:
-            result.budget = {
-                "timeout": request.timeout,
-                "max_bdd_nodes": request.max_bdd_nodes,
-                "max_states": request.max_states,
-                "max_steps": request.max_steps,
-            }
+        budget = verifier._make_budget(request.timeout)
+        if budget is not None:
+            result.budget = budget.limits()
 
-        scheduler = WorkStealingScheduler()
-        for index, subgoal in enumerate(subgoals):
-            scheduler.add(index, cost=worker_mod.subgoal_cost(subgoal))
-        order = [task.key for task in scheduler.drain()]
         slice_seconds = partition_deadline(
-            request.timeout, len(order), self.pool.jobs)
+            request.timeout, len(subgoals), self.pool.jobs)
 
         replies: "queue.Queue[object]" = queue.Queue()
-        for index in order:
+        for index in range(len(subgoals)):
             self.pool.submit(
                 SubgoalTask(program=program, index=index,
                             options=options,
@@ -282,7 +272,7 @@ class VerificationService:
         slack = (request.timeout or 600.0) * 2 + 30.0
         hard_deadline = time.monotonic() + slack
         wires: Dict[int, object] = {}
-        for _ in range(len(order)):
+        for _ in range(len(subgoals)):
             remaining = hard_deadline - time.monotonic()
             if remaining <= 0:
                 break

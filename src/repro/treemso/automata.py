@@ -324,10 +324,3 @@ class TreeNfa:
         accepting = frozenset(i for i, subset in enumerate(order)
                               if subset & self.accepting)
         return TreeDfa(mgr, len(order), 0, accepting, delta)
-
-
-def tree_delta_from_function(mgr: Mtbdd, tracks,
-                             fn: Callable[[Dict[int, bool]], int]) -> int:
-    """Build one transition MTBDD from an explicit bit function."""
-    from repro.automata.symbolic import delta_from_function
-    return delta_from_function(mgr, tracks, fn)

@@ -30,11 +30,12 @@ from enum import Enum
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
-from repro.analysis.coi import cone_of_influence, guard_vars
+from repro.analysis.coi import cone_of_influence
 from repro.analysis.fingerprint import subgoal_fingerprint
 from repro.analysis.order import choose_order
 from repro.analysis.slice import (SliceResult, dropped_statements,
-                                  slice_statements, statement_count)
+                                  guard_vars, slice_statements,
+                                  statement_count)
 from repro.errors import ExecutionError, VerificationError
 from repro.mso.ast import Formula
 from repro.mso.build import FormulaBuilder as F
@@ -128,8 +129,8 @@ class Obligation:
     producer: Callable[[SymbolicStore], Formula]
     #: evaluates the same condition on a concrete store (explanations)
     concrete: Optional[Callable[[Store], bool]] = None
-    #: the program variables the formula mentions (cone-of-influence
-    #: seeds; see :mod:`repro.analysis.coi`)
+    #: the program variables the formula mentions (relevance seeds;
+    #: see :mod:`repro.analysis.slice`)
     vars: FrozenSet[str] = frozenset()
     #: a line-free canonical key of the obligation's condition, used by
     #: the verdict-cache fingerprint (the display ``name`` embeds line
@@ -366,11 +367,9 @@ class SubgoalPlan:
 
     #: apply the cone-of-influence alphabet reduction
     reduce: bool
-    #: the statement slice (the identity slice when slicing is off)
+    #: the statement slice and its kept tracks (the identity slice
+    #: when slicing is off)
     sliced: SliceResult
-    #: the cone-of-influence variable subset, None for the full
-    #: alphabet
-    keep: Optional[FrozenSet[str]]
     #: the chosen track order, None for declaration order
     variable_order: Optional[Tuple[str, ...]]
     #: True when the chosen order differs from declaration order
@@ -379,6 +378,11 @@ class SubgoalPlan:
     @property
     def statements(self) -> Tuple[object, ...]:
         return self.sliced.statements
+
+    @property
+    def keep(self) -> Optional[FrozenSet[str]]:
+        """The kept variable subset, None for the full alphabet."""
+        return self.sliced.tracks if self.reduce else None
 
     def layout(self, schema) -> TrackLayout:
         return TrackLayout(schema, variables=self.keep,
@@ -417,7 +421,7 @@ class Verifier:
             for richer explanations.
         stop_at_first_failure: skip remaining subgoals after one fails.
         reduce: drop automaton tracks of variables outside each
-            subgoal's cone of influence (:mod:`repro.analysis.coi`).
+            subgoal's cone of influence (:mod:`repro.analysis.slice`).
             Verdicts and counterexamples are unaffected; automata only
             get smaller.  ``--no-reduce`` on the CLI turns it off.
         slice: drop dead pure-copy statements from each subgoal before
@@ -722,15 +726,15 @@ class Verifier:
 
     def _plan_subgoal(self, subgoal: Subgoal, reduce: bool,
                       slice_flag: bool, order_flag: bool) -> SubgoalPlan:
-        """Prepare one decision attempt: slice the statements, compute
-        the cone of influence of the *slice*, and choose the track
+        """Prepare one decision attempt: one backward relevance pass
+        (slicing the statements when ``slice_flag``, keeping the
+        tracks it finds relevant when ``reduce``), then the track
         order for the kept variables."""
         schema = self.program.schema
         # Assume obligations are evaluated on the initial store, so
         # their variables must keep their tracks no matter what the
         # statements later overwrite; only check obligations (read
-        # from the final store) flow backward through kills — the
-        # same asymmetry drives the statement slice.
+        # from the final store) flow backward through kills.
         assume_vars: FrozenSet[str] = frozenset()
         for obligation in subgoal.assume:
             assume_vars |= obligation.vars
@@ -739,19 +743,19 @@ class Verifier:
             check_vars |= obligation.vars
         if slice_flag:
             sliced = slice_statements(subgoal.statements, check_vars,
-                                      schema)
+                                      schema, assume_vars)
         else:
             count = statement_count(subgoal.statements)
-            sliced = SliceResult(tuple(subgoal.statements), count, count)
-        keep: Optional[FrozenSet[str]] = None
-        if reduce:
-            keep = cone_of_influence(sliced.statements, check_vars,
-                                     schema, assume_seeds=assume_vars)
+            tracks = (cone_of_influence(subgoal.statements, check_vars,
+                                        schema, assume_vars)
+                      if reduce else frozenset(schema.all_vars()))
+            sliced = SliceResult(tuple(subgoal.statements), count, count,
+                                 tracks)
         variable_order: Optional[Tuple[str, ...]] = None
         order_changed = False
         if order_flag:
-            kept = (frozenset(schema.all_vars()) if keep is None
-                    else frozenset(keep)) | frozenset(schema.data_vars)
+            kept = (sliced.tracks if reduce
+                    else frozenset(schema.all_vars()))
             obligation_vars = [item.vars for item in
                                subgoal.assume + subgoal.check]
             variable_order = choose_order(sliced.statements,
@@ -759,7 +763,7 @@ class Verifier:
             declared = tuple(name for name in schema.all_vars()
                              if name in set(variable_order))
             order_changed = variable_order != declared
-        return SubgoalPlan(reduce=reduce, sliced=sliced, keep=keep,
+        return SubgoalPlan(reduce=reduce, sliced=sliced,
                            variable_order=variable_order,
                            order_changed=order_changed)
 

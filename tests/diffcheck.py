@@ -19,12 +19,14 @@ engines — by cross-checking verdicts against the reference procedure:
   worker process after the run;
 * a **feature mode** (``--features``) cross-checks the engine's
   verdict-preserving optimisations the same way: every program with
-  statement slicing + track ordering + a cold verdict cache, then a
-  warm cache replay, against the same run with the optimisations off
-  — verdicts, outcomes and failure presence must be identical (the
-  comparison is verdict-level: ordering legitimately changes which
-  same-length counterexample the BFS finds first), and the warm run
-  must answer every subgoal from the cache.
+  statement slicing + track reduction + track ordering + a cold
+  verdict cache, then a warm cache replay, against the same run with
+  all of them off (``--no-slice --no-order --no-reduce``, so a fault
+  in the relevance pass cannot sit on both sides) — verdicts,
+  outcomes and failure presence must be identical (the comparison is
+  verdict-level: ordering legitimately changes which same-length
+  counterexample the BFS finds first), and the warm run must answer
+  every subgoal from the cache.
 
 Usable three ways: imported by the pytest suite (a fast subset), run
 as a script by CI's ``parallel-smoke`` job (the full corpus), or run
@@ -102,10 +104,10 @@ def fault_env(spec: str):
     """Set ``REPRO_FAULTS`` for the duration.
 
     The CLI (re-)installs the plan from the environment on every
-    invocation, and worker pools forward the same variable to their
-    initializer — so the environment, not ``faults.injected``, is the
-    one channel that reaches both the parent and every worker under
-    any start method.
+    invocation, and the supervised pool forwards the same variable to
+    every worker it spawns — so the environment, not
+    ``faults.injected``, is the one channel that reaches both the
+    parent and every worker under any start method.
     """
     previous = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = spec
@@ -205,10 +207,10 @@ def diff_corpus(names: Optional[Sequence[str]] = None,
 def verdict_view(document):
     """The verdict-level projection used for feature comparisons.
 
-    Slicing, ordering and caching may change automaton sizes, spans,
-    timings and which of several same-length counterexamples the BFS
-    reports first — but never verdicts, outcomes, or whether a
-    counterexample exists.
+    Slicing, reduction, ordering and caching may change automaton
+    sizes, spans, timings and which of several same-length
+    counterexamples the BFS reports first — but never verdicts,
+    outcomes, or whether a counterexample exists.
     """
     if document is None:
         return None
@@ -233,7 +235,7 @@ def diff_features(name: str, jobs: int, cache_dir: str) -> List[str]:
     jobs_args = [] if jobs <= 1 else ["-j", str(jobs)]
     off_code, off_doc, _ = run_cli_json(
         ["verify", name, "--json", "--no-slice", "--no-order",
-         *jobs_args])
+         "--no-reduce", *jobs_args])
     cold = run_cli_json(["verify", name, "--json",
                          "--cache-dir", cache_dir, *jobs_args])
     warm = run_cli_json(["verify", name, "--json",
@@ -343,8 +345,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also run the seeded fault/budget storm")
     parser.add_argument("--features", action="store_true",
                         help="run the feature sweep instead: "
-                             "slicing/ordering/caching on (cold and "
-                             "warm cache) vs off, verdict-for-verdict")
+                             "slicing/reduction/ordering/caching on "
+                             "(cold and warm cache) vs off, "
+                             "verdict-for-verdict")
     parser.add_argument("--seed", type=int, default=1997)
     parser.add_argument("--rounds", type=int, default=8)
     args = parser.parse_args(argv)

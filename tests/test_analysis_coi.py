@@ -1,6 +1,7 @@
 """Tests for the cone-of-influence pass and its use by the verifier."""
 
-from repro.analysis.coi import cone_of_influence, guard_vars
+from repro.analysis.coi import cone_of_influence
+from repro.analysis.slice import guard_vars, slice_statements
 from repro.pascal import check_program, parse_program
 from repro.programs import ALL_PROGRAMS
 from repro.verify.engine import Verifier
@@ -95,6 +96,32 @@ class TestVerifierLayouts:
         assert post == ["x", "y", "z", "p"]  # invariant mentions p
         preservation = layouts["invariant preservation (line 13)"]
         assert preservation == ["x", "y", "z", "p"]  # t still dropped
+
+    def test_plan_keeps_the_relevance_pass_tracks(self):
+        # Slicing on: the slice's own tracks.  Slicing off: the cone
+        # of the whole statement list.  Reduction off: every track.
+        for name in sorted(ALL_PROGRAMS):
+            verifier = Verifier(typed(name), order=False)
+            schema = verifier.program.schema
+            for subgoal in verifier.collect_subgoals():
+                assume = frozenset().union(
+                    *(item.vars for item in subgoal.assume))
+                check = frozenset().union(
+                    *(item.vars for item in subgoal.check))
+                label = (name, subgoal.description)
+                sliced = verifier._plan_subgoal(subgoal, True, True,
+                                                False)
+                assert sliced.keep == slice_statements(
+                    subgoal.statements, check, schema, assume).tracks, \
+                    label
+                unsliced = verifier._plan_subgoal(subgoal, True, False,
+                                                  False)
+                assert unsliced.statements == tuple(subgoal.statements)
+                assert unsliced.keep == cone_of_influence(
+                    subgoal.statements, check, schema, assume), label
+                full = verifier._plan_subgoal(subgoal, False, True,
+                                              False)
+                assert full.keep is None, label
 
     def test_no_reduce_keeps_everything(self):
         verifier = Verifier(typed("reverse"), reduce=False)

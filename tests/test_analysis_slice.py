@@ -1,7 +1,7 @@
 """Tests for statement-level backward slicing of subgoals."""
 
-from repro.analysis import (dropped_statements, slice_statements,
-                            statement_count)
+from repro.analysis import (cone_of_influence, dropped_statements,
+                            slice_statements, statement_count)
 from repro.pascal import check_program, parse_program
 from repro.programs import ALL_PROGRAMS
 from repro.verify.engine import Verifier
@@ -66,6 +66,37 @@ class TestSliceStatements:
         _, result = run_slice("  q := x;\n  p := x;\n"
                               "  dispose(p, red)")
         assert (result.before, result.after) == (3, 3)
+
+    def test_dispose_keeps_every_track(self):
+        _, result = run_slice("  q := x;\n  p := x;\n"
+                              "  dispose(p, red)")
+        assert result.tracks == frozenset({"x", "p", "q"})
+
+    def test_tracks_are_the_live_in_set(self):
+        # The check reads q, which the statement overwrites; the
+        # dereference reads p; the data variable x is always kept.
+        _, result = run_slice("  q := p^.next", seeds=["q"])
+        assert result.tracks == frozenset({"x", "p"})
+
+    def test_assume_seeds_keep_tracks_not_statements(self):
+        # An assume obligation reads p from the initial store: p keeps
+        # its track, yet the dead copy into p is still dropped.
+        program = typed("  p := nil;\n  q := x")
+        result = slice_statements(program.body, (), program.schema,
+                                  assume_seeds={"p"})
+        assert result.statements == ()
+        assert result.tracks == frozenset({"x", "p"})
+
+    def test_dropped_conditional_releases_its_guard_tracks(self):
+        # With the conditional sliced away nothing reads p; the cone of
+        # the unsliced body (the --no-slice path) still keeps the
+        # guard's variables.
+        program, result = run_slice(
+            "  if p = x then q := x else q := nil")
+        assert result.statements == ()
+        assert result.tracks == frozenset({"x"})
+        assert cone_of_influence(program.body, (), program.schema) == \
+            frozenset({"x", "p"})
 
     def test_conditional_dropped_whole(self):
         # Both branches slice empty and the guard cannot fail.

@@ -1,6 +1,8 @@
 """Unit and property tests for the MTBDD package."""
 
 import itertools
+import operator
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,15 @@ from repro.bdd import Mtbdd
 @pytest.fixture
 def mgr():
     return Mtbdd()
+
+
+def _var(mgr, level):
+    """The Boolean function x_level, with ``bool`` leaves."""
+    return mgr.node(level, mgr.leaf(False), mgr.leaf(True))
+
+
+def _not(mgr, f):
+    return mgr.map_leaves("not", operator.not_, f)
 
 
 class TestBasics:
@@ -29,6 +40,19 @@ class TestBasics:
     def test_redundant_node_collapses(self, mgr):
         leaf = mgr.leaf("x")
         assert mgr.node(0, leaf, leaf) == leaf
+
+    def test_hash_consing_makes_equal_functions_identical(self, mgr):
+        # x0 & x1 built directly and through De Morgan is one node.
+        x, y = _var(mgr, 0), _var(mgr, 1)
+        left = mgr.apply2("and", operator.and_, x, y)
+        right = _not(mgr, mgr.apply2("or", operator.or_,
+                                     _not(mgr, x), _not(mgr, y)))
+        assert left == right
+
+    def test_map_leaves_involution(self, mgr):
+        f = mgr.apply2("xor", operator.xor, _var(mgr, 0), _var(mgr, 2))
+        assert _not(mgr, _not(mgr, f)) == f
+        assert _not(mgr, f) != f
 
     def test_evaluate(self, mgr):
         f = mgr.node(0, mgr.leaf("lo"), mgr.leaf("hi"))
@@ -74,6 +98,24 @@ class TestCombinators:
         r = mgr.restrict(f, {0: False})
         assert mgr.evaluate(r, {1: True}) == "b"
         assert mgr.restrict(f, {}) == f
+
+    def test_apply2_identity_and_absorbing_leaves(self, mgr):
+        x = _var(mgr, 0)
+        true, false = mgr.leaf(True), mgr.leaf(False)
+        assert mgr.apply2("and", operator.and_, x, true) == x
+        assert mgr.apply2("and", operator.and_, x, false) == false
+        assert mgr.apply2("or", operator.or_, x, false) == x
+        assert mgr.apply2("or", operator.or_, x, true) == true
+        assert mgr.apply2("xor", operator.xor, x, x) == false
+
+    def test_restrict_every_level_reaches_the_leaf(self, mgr):
+        f = mgr.node(0, mgr.node(1, mgr.leaf("a"), mgr.leaf("b")),
+                     mgr.leaf("c"))
+        for bits in itertools.product([False, True], repeat=2):
+            env = dict(enumerate(bits))
+            restricted = mgr.restrict(f, env)
+            assert mgr.is_leaf(restricted)
+            assert mgr.leaf_value(restricted) == mgr.evaluate(f, env)
 
     def test_leaves(self, mgr):
         f = mgr.node(0, mgr.node(1, mgr.leaf("a"), mgr.leaf("b")),
@@ -172,3 +214,133 @@ def test_canonical_form(table):
     f = _from_table(mgr, table)
     g = _from_table(mgr, list(table))
     assert f == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables(), _tables())
+def test_apply2_commutative_op_is_canonical(left, right):
+    """The memo keys (f, g) and (g, f) differ; hash-consing still
+    makes a commutative combination one node."""
+    mgr = Mtbdd()
+    f = _from_table(mgr, left)
+    g = _from_table(mgr, right)
+    assert mgr.apply2("add", operator.add, f, g) == \
+        mgr.apply2("add", operator.add, g, f)
+
+
+def _assignments():
+    for bits in itertools.product([False, True], repeat=NUM_TRACKS):
+        yield bits, dict(enumerate(bits))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables(), st.integers(min_value=0, max_value=NUM_TRACKS - 1),
+       st.booleans())
+def test_restrict_is_the_cofactor(table, level, value):
+    mgr = Mtbdd()
+    f = _from_table(mgr, table)
+    cofactor = mgr.restrict(f, {level: value})
+    assert level not in mgr.support(cofactor)
+    for _, env in _assignments():
+        assert mgr.evaluate(cofactor, env) == \
+            mgr.evaluate(f, {**env, level: value})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables())
+def test_support_is_exactly_the_essential_levels(table):
+    """A level is in the support iff flipping it changes the value on
+    some assignment (reducedness leaves no redundant test)."""
+    mgr = Mtbdd()
+    f = _from_table(mgr, table)
+    essential = set()
+    for bits, _ in _assignments():
+        for level in range(NUM_TRACKS):
+            flipped = list(bits)
+            flipped[level] = not flipped[level]
+            if table[_index(bits)] != table[_index(flipped)]:
+                essential.add(level)
+    assert mgr.support(f) == frozenset(essential)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables())
+def test_paths_partition_the_assignments(table):
+    """Every full assignment extends exactly one path, so the paths
+    weighted by their don't-cares count each leaf's preimage."""
+    mgr = Mtbdd()
+    f = _from_table(mgr, table)
+    counts: Counter = Counter()
+    for assignment, value in mgr.paths(f):
+        counts[value] += 2 ** (NUM_TRACKS - len(assignment))
+    assert counts == Counter(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tables(), st.integers(min_value=0, max_value=4))
+def test_find_leaf_returns_a_witness(table, wanted):
+    mgr = Mtbdd()
+    f = _from_table(mgr, table)
+    witness = mgr.find_leaf(f, lambda value: value == wanted)
+    if wanted not in table:
+        assert witness is None
+        return
+    assert witness is not None
+    # Levels the path leaves out are don't-cares: every extension of
+    # the witness reaches the wanted leaf.
+    for _, env in _assignments():
+        assert mgr.evaluate(f, {**env, **witness}) == wanted
+
+
+# ----------------------------------------------------------------------
+# Property-based: Boolean expressions against truth tables
+# ----------------------------------------------------------------------
+
+_BINARY = {"and": operator.and_, "or": operator.or_,
+           "xor": operator.xor,
+           "implies": lambda a, b: (not a) or b}
+
+
+def _exprs():
+    leaf = st.integers(min_value=0, max_value=NUM_TRACKS - 1).map(
+        lambda level: ("var", level))
+    return st.recursive(
+        leaf | st.sampled_from([("const", True), ("const", False)]),
+        lambda children: st.tuples(
+            st.sampled_from(sorted(_BINARY) + ["not"]),
+            children, children),
+        max_leaves=12)
+
+
+def _build(mgr, expr):
+    if expr[0] == "var":
+        return _var(mgr, expr[1])
+    if expr[0] == "const":
+        return mgr.leaf(expr[1])
+    op, left, right = expr
+    if op == "not":
+        return _not(mgr, _build(mgr, left))
+    return mgr.apply2(op, _BINARY[op], _build(mgr, left),
+                      _build(mgr, right))
+
+
+def _truth(expr, env):
+    if expr[0] == "var":
+        return env[expr[1]]
+    if expr[0] == "const":
+        return expr[1]
+    op, left, right = expr
+    if op == "not":
+        return not _truth(left, env)
+    return bool(_BINARY[op](_truth(left, env), _truth(right, env)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs())
+def test_boolean_expressions_match_truth_table(expr):
+    """Several operators share one manager and its memo tables; each
+    must stay keyed apart from the others."""
+    mgr = Mtbdd()
+    f = _build(mgr, expr)
+    for _, env in _assignments():
+        assert mgr.evaluate(f, env) == _truth(expr, env)

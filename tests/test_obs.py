@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.bdd.mtbdd import Mtbdd
-from repro.bdd.robdd import Bdd
 from repro.obs.metrics import (NULL_REGISTRY, MetricsRegistry,
                                activate_metrics, current_metrics)
 from repro.obs.trace import (NULL_SPAN, NULL_TRACER, Tracer, activate,
@@ -190,6 +189,27 @@ class TestBddCacheStats:
             "restrict_hits", "restrict_misses", "unique_table_size",
             "peak_nodes"}
 
+    def test_mtbdd_counts_map_and_restrict_caches(self):
+        mgr = Mtbdd()
+        f = mgr.node(0, mgr.node(1, mgr.leaf(0), mgr.leaf(1)),
+                     mgr.leaf(2))
+        mapped = mgr.map_leaves("inc", lambda v: v + 1, f)
+        map_misses = mgr.map_misses
+        assert map_misses > 0
+        assert mgr.map_leaves("inc", lambda v: v + 1, f) == mapped
+        assert mgr.map_hits == 1
+        assert mgr.map_misses == map_misses
+        restricted = mgr.restrict(f, {1: True})
+        restrict_misses = mgr.restrict_misses
+        assert restrict_misses > 0
+        assert mgr.restrict(f, {1: True}) == restricted
+        assert mgr.restrict_hits == 1
+        assert mgr.restrict_misses == restrict_misses
+        stats = mgr.cache_stats()
+        assert stats["map_misses"] == map_misses
+        assert stats["restrict_misses"] == restrict_misses
+        assert stats["peak_nodes"] == len(mgr)
+
     def test_mtbdd_table_sizes(self):
         mgr = Mtbdd()
         assert mgr.unique_table_size == 0
@@ -197,21 +217,3 @@ class TestBddCacheStats:
         assert mgr.unique_table_size == 1
         assert mgr.peak_nodes == len(mgr)
         assert not mgr.is_leaf(f)
-
-    def test_robdd_counts_caches(self):
-        mgr = Bdd()
-        x, y = mgr.var(0), mgr.var(1)
-        f = mgr.and_(x, y)
-        assert mgr.apply_misses > 0
-        before = mgr.apply_hits
-        assert mgr.and_(x, y) == f
-        assert mgr.apply_hits > before
-        mgr.ite(x, y, mgr.FALSE)
-        mgr.exists(f, [0])
-        mgr.restrict(f, {0: True})
-        stats = mgr.cache_stats()
-        assert stats["ite_misses"] >= 1
-        assert stats["quant_misses"] >= 1
-        assert stats["restrict_misses"] >= 1
-        assert stats["unique_table_size"] > 0
-        assert stats["peak_nodes"] == len(mgr)

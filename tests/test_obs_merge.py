@@ -2,7 +2,7 @@
 
 Per-worker ``CompilationStats`` and ``MetricsRegistry`` instances are
 folded into one view by the executor; replies arrive in *arbitrary
-order* (``imap_unordered``), so the merge operations must be
+order* (whichever worker finishes first), so the merge operations must be
 associative and commutative or the merged report would depend on
 worker scheduling.  Integer-valued strategies keep every comparison
 exact (no float-rounding escape hatch)."""

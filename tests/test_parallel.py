@@ -7,6 +7,7 @@ coverage for jobs resolution, wire fidelity, and fault containment.
 """
 
 import json
+import math
 import multiprocessing
 import os
 
@@ -14,7 +15,8 @@ import pytest
 
 import diffcheck
 from repro.errors import ReproError
-from repro.parallel import resolve_jobs
+from repro.parallel import SupervisedPool, resolve_jobs
+from repro.parallel.pool import partition_deadline
 from repro.parallel.wire import span_from_dict
 from repro.programs import ALL_PROGRAMS
 from repro.verify import Outcome, verify_source
@@ -113,6 +115,54 @@ class TestEngineLevel:
         sequential = verify_source(ALL_PROGRAMS["reverse"])
         assert descriptions == [r.description
                                 for r in sequential.results]
+
+    def test_subgoals_submitted_in_index_order(self, monkeypatch):
+        # Nothing reorders the fan-out: subgoals enter the supervised
+        # pool's FIFO queue in ascending index order.
+        submitted = []
+        original = SupervisedPool.submit
+
+        def spy(self, payload, key, *args, **kwargs):
+            submitted.append((key, payload.index))
+            return original(self, payload, key, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "submit", spy)
+        code, document, _ = diffcheck.run_cli_json(
+            ["verify", "reverse", "--json", "-j", "2"])
+        assert code == 0
+        indices = list(range(len(document["subgoals"])))
+        assert len(indices) > 2
+        assert submitted == list(zip(indices, indices))
+
+    def test_each_task_gets_its_deadline_slice(self, monkeypatch):
+        slices = []
+        original = SupervisedPool.submit
+
+        def spy(self, payload, key, *args, **kwargs):
+            slices.append(payload.timeout_slice)
+            return original(self, payload, key, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "submit", spy)
+        code, document, _ = diffcheck.run_cli_json(
+            ["verify", "reverse", "--json", "-j", "2",
+             "--timeout", "600"])
+        assert code == 0
+        count = len(document["subgoals"])
+        assert slices == [partition_deadline(600.0, count, 2)] * count
+        assert slices[0] == 600.0 / math.ceil(count / 2)
+
+    def test_budget_limits_match_sequential(self):
+        # Both paths report Budget.limits(): a cap without a timeout
+        # is recorded, with the timeout as None.
+        argv = ["verify", "reverse", "--json", "--max-states", "100000"]
+        code, sequential, _ = diffcheck.run_cli_json(argv)
+        par_code, parallel, _ = diffcheck.run_cli_json(argv
+                                                       + ["-j", "2"])
+        diffcheck.assert_no_orphans()
+        assert code == par_code == 0
+        assert sequential["budget"] == parallel["budget"] == {
+            "timeout": None, "max_bdd_nodes": None,
+            "max_states": 100000, "max_steps": None}
 
 
 class TestFaultContainment:

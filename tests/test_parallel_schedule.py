@@ -1,85 +1,11 @@
-"""Tests for repro.parallel.schedule: the deterministic
-work-stealing order (under a seeded fake clock) and deadline
-partitioning, which guarantees one stuck subgoal can never consume
-its siblings' share of a ``--timeout`` budget."""
-
-import random
+"""Tests for the parallel executor's deadline partitioning
+(:func:`repro.parallel.pool.partition_deadline`), which guarantees one
+stuck subgoal can never consume its siblings' share of a ``--timeout``
+budget."""
 
 from hypothesis import given, strategies as st
 
-from repro.parallel.schedule import (Task, WorkStealingScheduler,
-                                     partition_deadline)
-
-
-class FakeClock:
-    """A hand-cranked monotonic clock."""
-
-    def __init__(self, start=0.0):
-        self.now = float(start)
-
-    def advance(self, seconds):
-        self.now += seconds
-
-    def __call__(self):
-        return self.now
-
-
-class TestWorkStealing:
-    def test_longest_pending_is_stolen_first(self):
-        clock = FakeClock()
-        scheduler = WorkStealingScheduler(clock=clock)
-        scheduler.add("early", cost=1)
-        clock.advance(5)
-        scheduler.add("middle", cost=100)
-        clock.advance(5)
-        scheduler.add("late", cost=100)
-        clock.advance(1)
-        # "early" has waited 11s; cost never outranks waiting time.
-        assert scheduler.steal().key == "early"
-        assert scheduler.steal().key == "middle"
-        assert scheduler.steal().key == "late"
-
-    def test_cost_breaks_age_ties(self):
-        # All enqueued at the same instant: the costliest goes first
-        # (LPT order minimizes makespan for the final stragglers).
-        clock = FakeClock()
-        scheduler = WorkStealingScheduler(clock=clock)
-        scheduler.add("small", cost=1)
-        scheduler.add("large", cost=50)
-        scheduler.add("medium", cost=10)
-        assert [scheduler.steal().key for _ in range(3)] == \
-            ["large", "medium", "small"]
-
-    def test_index_breaks_full_ties(self):
-        clock = FakeClock()
-        scheduler = WorkStealingScheduler(clock=clock)
-        for key in ("a", "b", "c"):
-            scheduler.add(key, cost=7)
-        assert [task.key for task in scheduler.drain()] == \
-            ["a", "b", "c"]
-
-    def test_drain_empties_scheduler(self):
-        scheduler = WorkStealingScheduler(clock=FakeClock())
-        scheduler.add("x", cost=1)
-        assert len(scheduler) == 1
-        scheduler.drain()
-        assert len(scheduler) == 0
-
-    def test_seeded_random_arrivals_are_deterministic(self):
-        def run(seed):
-            rng = random.Random(seed)
-            clock = FakeClock()
-            scheduler = WorkStealingScheduler(clock=clock)
-            for index in range(20):
-                scheduler.add(index, cost=rng.randrange(100))
-                clock.advance(rng.random())
-            return [task.key for task in scheduler.drain()]
-
-        assert run(1997) == run(1997)
-        first = run(1997)
-        # Oldest-first: the steal order is exactly arrival order when
-        # every enqueue instant is distinct.
-        assert first == sorted(first)
+from repro.parallel.pool import partition_deadline
 
 
 class TestPartitionDeadline:
@@ -120,14 +46,3 @@ class TestPartitionDeadline:
         piece = partition_deadline(remaining, pending, workers)
         waves = -(-pending // max(1, workers))  # ceil division
         assert piece * waves <= remaining * (1 + 1e-9)
-
-
-class TestTaskShape:
-    def test_task_records_enqueue_time(self):
-        clock = FakeClock(start=42.0)
-        scheduler = WorkStealingScheduler(clock=clock)
-        scheduler.add("k", cost=3)
-        task = scheduler.steal()
-        assert isinstance(task, Task)
-        assert task.enqueued == 42.0
-        assert task.cost == 3

@@ -1,18 +1,22 @@
 """In-process unit tests for the serving layer (repro.serve).
 
-Protocol decoding, admission control and the job table are tested
-here without a real socket; the end-to-end daemon (subprocess over a
-unix socket) lives in ``test_serve_daemon.py``.
+Protocol decoding, admission control, the job table and the subgoal
+fan-out are tested here without a real socket; the end-to-end daemon
+(subprocess over a unix socket) lives in ``test_serve_daemon.py``.
 """
 
 import json
+import multiprocessing
 import threading
 import time
 
 import pytest
 
+from repro.obs.metrics import set_metrics
+from repro.robust.budget import Budget
 from repro.serve.admission import (AdmissionController, Draining,
                                    QueueFull)
+from repro.serve.daemon import ServeConfig, VerificationService
 from repro.serve.jobs import JobTable
 from repro.serve.protocol import (MAX_BODY_BYTES, BudgetCaps,
                                   ProtocolError, parse_batch_request,
@@ -320,3 +324,46 @@ class TestJobTable:
         job = table.create("reverse")
         table.finish(job, 200, {"outcome": "VERIFIED"})
         assert "result" not in job.to_dict(with_result=False)
+
+
+class TestServiceFanOut:
+    """The daemon's subgoal fan-out, driven in process against a real
+    two-worker pool."""
+
+    @pytest.fixture
+    def service(self):
+        service = VerificationService(ServeConfig(workers=2,
+                                                  timeout=None))
+        try:
+            yield service
+        finally:
+            service.drain()
+            set_metrics(None)
+            assert not multiprocessing.active_children()
+
+    def test_subgoals_submitted_in_index_order(self, service,
+                                               monkeypatch):
+        submitted = []
+        original = service.pool.submit
+
+        def spy(payload, key, on_done):
+            submitted.append((key, payload.index))
+            original(payload, key, on_done)
+
+        monkeypatch.setattr(service.pool, "submit", spy)
+        status, document, _ = service.handle_verify(
+            _body({"program": "reverse"}))
+        assert status == 200
+        assert document["outcome"] == "VERIFIED"
+        indices = list(range(len(document["subgoals"])))
+        assert len(indices) > 2
+        assert submitted == list(zip(indices, indices))
+
+    def test_budget_reports_the_request_limits(self, service):
+        status, document, _ = service.handle_verify(_body(
+            {"program": "reverse",
+             "budget": {"timeout": 120, "max_states": 100000}}))
+        assert status == 200
+        assert document["outcome"] == "VERIFIED"
+        assert document["budget"] == Budget(
+            timeout=120, max_states=100000).limits()

@@ -6,13 +6,22 @@ with statement slicing on vs off and with dependency ordering on vs
 declaration order.  Counterexample *presence* must agree too; the
 ordering pass may legally change which same-length witness the BFS
 reports first, so the witness itself is not compared.
+
+The relevance pass keeps tracks and slices statements in one walk;
+that rests on the tracks of a slice being exactly the cone of
+influence of the sliced statements, which is checked here over the
+generator and the corpus.
 """
 
 import random
 
 import pytest
 
+from repro.analysis.coi import cone_of_influence
+from repro.analysis.slice import slice_statements
 from repro.pascal import check_program, parse_program
+from repro.pascal.typed import TDispose, TIf
+from repro.programs import ALL_PROGRAMS
 from repro.verify.engine import Verifier
 
 HEADER = """\
@@ -106,3 +115,47 @@ def test_cache_replay_preserves_verdicts(seed, tmp_path):
              for subgoal in warm_result.results])
     assert warm == cold, source
     assert warm_result.cache_hits == len(warm_result.results), source
+
+
+def _disposes(statements) -> bool:
+    return any(isinstance(statement, TDispose)
+               or (isinstance(statement, TIf)
+                   and (_disposes(statement.then_body)
+                        or _disposes(statement.else_body)))
+               for statement in statements)
+
+
+def assert_tracks_are_cone_of_slice(program, label) -> int:
+    """For every subgoal: the slice's tracks equal the cone of
+    influence over the sliced statements plus the assume variables,
+    or every variable when the body disposes.  Returns the number of
+    subgoals checked."""
+    schema = program.schema
+    subgoals = Verifier(program).collect_subgoals()
+    for subgoal in subgoals:
+        assume = frozenset().union(*(item.vars for item in subgoal.assume))
+        check = frozenset().union(*(item.vars for item in subgoal.check))
+        sliced = slice_statements(subgoal.statements, check, schema,
+                                  assume)
+        if _disposes(subgoal.statements):
+            expected = frozenset(schema.all_vars())
+        else:
+            expected = cone_of_influence(sliced.statements, check,
+                                         schema, assume_seeds=assume)
+        assert sliced.tracks == expected, (label, subgoal.description)
+    return len(subgoals)
+
+
+def test_slice_tracks_equal_cone_over_generated_programs():
+    checked = 0
+    for seed in range(2000):
+        source = generate(random.Random(1997 + seed))
+        program = check_program(parse_program(source))
+        checked += assert_tracks_are_cone_of_slice(program, source)
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+def test_slice_tracks_equal_cone_over_corpus(name):
+    program = check_program(parse_program(ALL_PROGRAMS[name]))
+    assert assert_tracks_are_cone_of_slice(program, name) > 0

@@ -13,6 +13,7 @@ This closes the loop between the symbolic and concrete layers across
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -58,7 +59,9 @@ def test_verified_program_never_fails_concretely(name):
     pre = _formula(program, program.pre)
     post = _formula(program, program.post)
     interpreter = Interpreter(program)
-    rng = random.Random(hash(name) & 0xFFFF)
+    # crc32, not hash(): string hashing is salted per process, and a
+    # failing sample must be reproducible from its seed.
+    rng = random.Random(zlib.crc32(name.encode()))
     admitted = 0
     candidates = list(_baseline_stores(program.schema))
     candidates += [random_store(program.schema, rng, max_len=4,
