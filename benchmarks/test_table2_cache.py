@@ -47,7 +47,7 @@ def test_slice_ratios_recorded():
         before = after = 0
         for subgoal in verifier.collect_subgoals():
             plan = verifier._plan_subgoal(subgoal, verifier.reduce,
-                                          True, False)
+                                          True)
             before += plan.sliced.before
             after += plan.sliced.after
         ratios[name] = {

@@ -1,12 +1,13 @@
-"""Static analysis front-end: CFGs, dataflow, lints, slicing, ordering.
+"""Static analysis front-end: CFGs, dataflow, lints, slicing.
 
 The package serves three consumers: the ``repro lint`` CLI subcommand
 (:func:`lint_source` / :func:`lint_program`); the verifier's subgoal
 preparation — one backward relevance pass that both slices statements
 and keeps tracks (:func:`slice_statements`; with slicing off,
-:func:`cone_of_influence`) and dependency-driven BDD track ordering
-(:func:`choose_order`); and the verdict cache, which keys subgoals by
-the content fingerprints of :mod:`repro.analysis.fingerprint`.
+:func:`cone_of_influence`), and the kept tracks' order
+(:func:`choose_order`, declaration order); and the verdict cache,
+which keys subgoals by the content fingerprints of
+:mod:`repro.analysis.fingerprint`.
 """
 
 from repro.analysis.cfg import CFG, Edge, Node, from_program, \
@@ -20,7 +21,7 @@ from repro.analysis.fingerprint import (CACHE_SCHEMA_VERSION,
                                         code_fingerprint,
                                         subgoal_fingerprint)
 from repro.analysis.lints import lint_program, lint_source
-from repro.analysis.order import affinity_graph, choose_order
+from repro.analysis.order import choose_order
 from repro.analysis.slice import (SliceResult, dropped_statements,
                                   guard_vars, slice_statements,
                                   statement_count)
@@ -35,7 +36,6 @@ __all__ = [
     "Node",
     "Severity",
     "SliceResult",
-    "affinity_graph",
     "canonical_schema",
     "canonical_statements",
     "choose_order",

@@ -12,17 +12,16 @@ therefore contains no line or column information:
   order (the string encoding depends on declaration order, so order
   is significant);
 * the **statements**, serialised recursively from the typed IR's own
-  line-free syntax (the engine hashes the originals — the slice, cone
-  and order are deterministic functions of them, and the
-  counterexample simulation reads the originals directly);
+  line-free syntax (the engine hashes the originals — the slice and
+  cone are deterministic functions of them, and the counterexample
+  simulation reads the originals directly);
 * the **obligations** — each assume/check item's canonical key: the
   pretty-printed assertion formula (re-parseable, line-free) or the
   guard condition text, never the display name (which embeds line
   numbers);
 * the **engine options** that change anything the cached result
-  records (reduction, slicing, ordering, minimisation, simulation,
-  tracing) — a hit must be byte-for-byte the result the engine would
-  have recomputed;
+  records (reduction, slicing, simulation, tracing) — a hit must be
+  byte-for-byte the result the engine would have recomputed;
 * the **code fingerprint** — a digest over every source file of the
   ``repro`` package, so any engine change invalidates the whole store
   rather than serving results computed by different code.
@@ -39,7 +38,7 @@ from repro.pascal.typed import (TAssertStmt, TAssign, TDispose, TIf,
 from repro.stores.schema import Schema
 
 #: Bump when the cached value format or this canonicalization changes.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 _code_digest: List[str] = []
 

@@ -4,7 +4,7 @@ Usage::
 
     repro-verify verify FILE.pas [--verbose] [--no-simulate]
                                  [--profile] [--trace] [--json]
-                                 [--no-reduce] [--no-slice] [--no-order]
+                                 [--no-reduce] [--no-slice]
                                  [--cache-dir DIR] [--no-cache]
                                  [--jobs N]
                                  [--timeout S] [--max-bdd-nodes N]
@@ -12,7 +12,6 @@ Usage::
     repro-verify table  [NAME ...] [--json] [--keep-going] [--jobs N]
                                    [engine flags] [budget flags]
     repro-verify analyze FILE.pas [--json] [--no-reduce] [--no-slice]
-                                  [--no-order]
     repro-verify lint   FILE.pas [...] [--json] [--strict]
     repro-verify serve  [--port N | --unix-socket PATH] [--workers N]
                         [--max-concurrent N] [--max-queue N]
@@ -61,9 +60,7 @@ Engine escape hatches and A/B switches — verdicts are identical with
 any combination (``tests/diffcheck.py --features`` proves it over the
 whole corpus): ``--no-reduce`` disables the cone-of-influence track
 reduction (:mod:`repro.analysis.coi`); ``--no-slice`` disables the
-statement-level backward slice (:mod:`repro.analysis.slice`);
-``--no-order`` keeps BDD tracks in declaration order instead of the
-dependency-affinity order (:mod:`repro.analysis.order`).
+statement-level backward slice (:mod:`repro.analysis.slice`).
 
 ``--cache-dir DIR`` turns on the content-addressed verdict cache
 (:mod:`repro.verify.cache`): decided subgoals are stored under DIR
@@ -71,8 +68,8 @@ keyed by their content fingerprint and replayed on later runs whose
 fingerprints match; ``--no-cache`` ignores ``--cache-dir`` (e.g. to
 force a cold run against a populated directory).  ``repro analyze``
 prints what the engine *would* do per subgoal — slice sizes, dropped
-statements, kept/dropped tracks, chosen order, fingerprint — without
-deciding anything.
+statements, kept/dropped tracks, fingerprint — without deciding
+anything.
 """
 
 from __future__ import annotations
@@ -155,9 +152,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_budget_flags(table_cmd)
 
     analyze_cmd = commands.add_parser(
-        "analyze", help="report per-subgoal slices, track reductions, "
-                        "orders and cache fingerprints without "
-                        "deciding anything")
+        "analyze", help="report per-subgoal slices, track reductions "
+                        "and cache fingerprints without deciding "
+                        "anything")
     analyze_cmd.add_argument("file", help="path to the .pas source, or "
                                           "a bundled program name")
     analyze_cmd.add_argument("--json", action="store_true",
@@ -256,17 +253,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _add_engine_flags(command: argparse.ArgumentParser) -> None:
-    """The verdict-preserving engine switches shared by verify, table
-    and analyze."""
+    """The verdict-preserving engine switches shared by verify, table,
+    analyze and serve."""
     command.add_argument("--no-reduce", action="store_true",
                          help="keep every variable track (disable "
                               "the cone-of-influence reduction)")
     command.add_argument("--no-slice", action="store_true",
                          help="keep every statement (disable the "
                               "backward statement slice)")
-    command.add_argument("--no-order", action="store_true",
-                         help="keep BDD tracks in declaration order "
-                              "(disable the affinity ordering)")
 
 
 def _add_cache_flags(command: argparse.ArgumentParser) -> None:
@@ -368,7 +362,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = verify_source(source, simulate=not args.no_simulate,
                                reduce=not args.no_reduce,
                                slice=not args.no_slice,
-                               order=not args.no_order,
                                cache_dir=_cache_dir(args),
                                cache_max_mb=args.cache_max_mb,
                                tracer=tracer,
@@ -410,7 +403,6 @@ def _table(args: argparse.Namespace) -> int:
                 result = verify_source(source,
                                        reduce=not args.no_reduce,
                                        slice=not args.no_slice,
-                                       order=not args.no_order,
                                        cache_dir=_cache_dir(args),
                                        cache_max_mb=args.cache_max_mb,
                                        **_budget_kwargs(args))
@@ -448,7 +440,6 @@ def _table_parallel(names: List[str], jobs: int,
     options = EngineOptions(
         reduce=not args.no_reduce,
         slice=not args.no_slice,
-        order=not args.no_order,
         cache_dir=_cache_dir(args),
         cache_max_mb=args.cache_max_mb,
         timeout=budget["timeout"],
@@ -460,15 +451,14 @@ def _table_parallel(names: List[str], jobs: int,
 
 def _analyze(args: argparse.Namespace) -> int:
     """Print the engine's per-subgoal preparation (slices, cones,
-    orders, fingerprints) without deciding anything."""
+    fingerprints) without deciding anything."""
     from repro.pascal import check_program, parse_program
     from repro.verify.engine import Verifier
 
     program = check_program(parse_program(_load(args.file)))
     verifier = Verifier(program,
                         reduce=not args.no_reduce,
-                        slice=not args.no_slice,
-                        order=not args.no_order)
+                        slice=not args.no_slice)
     report = verifier.analyze()
     if args.json:
         import json as _json
@@ -493,11 +483,6 @@ def _analyze(args: argparse.Namespace) -> int:
               + (f" (dropped vars: "
                  f"{', '.join(entry['dropped_vars'])})"
                  if entry["dropped_vars"] else ""))
-        if entry["variable_order"] is not None:
-            suffix = "" if entry["reordered"] else \
-                " (declaration order)"
-            print(f"  order: "
-                  f"{', '.join(entry['variable_order'])}{suffix}")
         print(f"  fingerprint: {entry['fingerprint']}")
     return 0
 

@@ -84,14 +84,11 @@ def engine_options(verifier: Verifier) -> EngineOptions:
     """The picklable option set a worker needs to replay decisions."""
     tracer = verifier.tracer
     return EngineOptions(
-        minimize_during=verifier.minimize_during,
         simulate=verifier.simulate,
         reduce=verifier.reduce,
         slice=verifier.slice,
-        order=verifier.order,
         cache_dir=verifier.cache_dir,
         cache_max_mb=verifier.cache_max_mb,
-        retry_alternate=verifier.retry_alternate,
         timeout=verifier.timeout,
         max_bdd_nodes=verifier.max_bdd_nodes,
         max_states=verifier.max_states,
@@ -230,8 +227,6 @@ def verify_parallel(verifier: Verifier) -> VerificationResult:
             f"verify.outcome.{decided.outcome.value}").inc()
         if decided.budget is not None:
             budget_steps += int(decided.budget.get("steps") or 0)
-        if verifier.stop_at_first_failure and not decided.valid:
-            break
     result.interrupted = interrupted
     metrics.gauge("verify.tracks_before").set(result.tracks_before)
     metrics.gauge("verify.tracks_after").set(result.tracks_after)

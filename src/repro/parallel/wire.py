@@ -37,14 +37,11 @@ class EngineOptions:
     """The picklable subset of :class:`repro.verify.engine.Verifier`
     configuration a worker needs to reproduce a decision exactly."""
 
-    minimize_during: bool = True
     simulate: bool = True
     reduce: bool = True
     slice: bool = True
-    order: bool = True
     cache_dir: Optional[str] = None
     cache_max_mb: Optional[float] = None
-    retry_alternate: bool = True
     timeout: Optional[float] = None
     max_bdd_nodes: Optional[int] = None
     max_states: Optional[int] = None

@@ -34,14 +34,11 @@ def _verifier_for(program: object, options: EngineOptions,
                   tracer: Optional[obs_trace.Tracer],
                   timeout: Optional[float]) -> Verifier:
     return Verifier(program,  # type: ignore[arg-type]
-                    minimize_during=options.minimize_during,
                     simulate=options.simulate,
                     reduce=options.reduce,
                     slice=options.slice,
-                    order=options.order,
                     cache_dir=options.cache_dir,
                     cache_max_mb=options.cache_max_mb,
-                    retry_alternate=options.retry_alternate,
                     tracer=tracer,
                     timeout=timeout,
                     max_bdd_nodes=options.max_bdd_nodes,

@@ -79,7 +79,6 @@ class ServeConfig:
     cache_max_mb: Optional[float] = None
     reduce: bool = True
     slice: bool = True
-    order: bool = True
     simulate: bool = True
     timeout: Optional[float] = 60.0
     max_bdd_nodes: Optional[int] = None
@@ -95,7 +94,7 @@ class ServeConfig:
 
     def engine_defaults(self) -> Dict[str, bool]:
         return {"reduce": self.reduce, "slice": self.slice,
-                "order": self.order, "simulate": self.simulate}
+                "simulate": self.simulate}
 
     def endpoint(self) -> str:
         if self.unix_socket is not None:
@@ -239,7 +238,7 @@ class VerificationService:
         verifier = Verifier(
             program,
             simulate=request.simulate, reduce=request.reduce,
-            slice=request.slice, order=request.order,
+            slice=request.slice,
             cache_dir=self.config.cache_dir,
             cache_max_mb=self.config.cache_max_mb,
             timeout=request.timeout,
@@ -564,7 +563,6 @@ def config_from_args(args) -> ServeConfig:
         cache_max_mb=args.cache_max_mb,
         reduce=not args.no_reduce,
         slice=not args.no_slice,
-        order=not args.no_order,
         timeout=args.timeout,
         max_bdd_nodes=args.max_bdd_nodes,
         max_states=args.max_states,

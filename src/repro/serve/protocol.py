@@ -15,8 +15,7 @@ A verify request looks like::
       "program": "reverse",          // bundled program name, or
       "source": "program ...",       // inline annotated-Pascal source
       "options": {                   // all optional; server defaults
-        "reduce": true, "slice": true,
-        "order": true, "simulate": true
+        "reduce": true, "slice": true, "simulate": true
       },
       "budget": {                    // optional; server caps clamp
         "timeout": 5.0,              // each value from above
@@ -45,7 +44,7 @@ from repro.robust import faults
 #: a verification request is a small program, not a data upload.
 MAX_BODY_BYTES = 1 << 20
 
-_OPTION_KEYS = ("reduce", "slice", "order", "simulate")
+_OPTION_KEYS = ("reduce", "slice", "simulate")
 _BUDGET_KEYS = ("timeout", "max_bdd_nodes", "max_states", "max_steps")
 
 
@@ -90,7 +89,6 @@ class VerifyRequest:
     label: str
     reduce: bool = True
     slice: bool = True
-    order: bool = True
     simulate: bool = True
     timeout: Optional[float] = None
     max_bdd_nodes: Optional[int] = None
@@ -226,7 +224,6 @@ def _parse_one(document: Dict[str, object], caps: BudgetCaps,
         label=label,
         reduce=merged.get("reduce", True),
         slice=merged.get("slice", True),
-        order=merged.get("order", True),
         simulate=merged.get("simulate", True),
         timeout=clamped["timeout"],
         max_bdd_nodes=clamped["max_bdd_nodes"],

@@ -37,19 +37,12 @@ class TrackLayout:
         schema: the program's store schema.
         variables: the program variables to keep a track for (default:
             all of them).  Data variables are always kept regardless of
-            this argument; the remaining pointer variables keep the
-            schema's declaration order.
-        order: the registration (and therefore BDD level) order of the
-            kept variables (default: declaration order).  Names outside
-            the kept set are ignored; kept names missing from ``order``
-            are appended in declaration order.  The order renames BDD
-            levels only — semantics are unchanged (see
-            :mod:`repro.analysis.order`).
+            this argument.  Tracks are registered in the schema's
+            declaration order (:mod:`repro.analysis.order`).
     """
 
     def __init__(self, schema: Schema,
-                 variables: Optional[Iterable[str]] = None,
-                 order: Optional[Iterable[str]] = None) -> None:
+                 variables: Optional[Iterable[str]] = None) -> None:
         self.schema = schema
         self.labels: List[Label] = [LABEL_NIL, LABEL_LIM, LABEL_GARB]
         self.labels += [record_label(type_name, variant)
@@ -61,11 +54,6 @@ class TrackLayout:
         else:
             keep = set(variables) | set(schema.data_vars)
             kept = [name for name in schema.all_vars() if name in keep]
-        if order is not None:
-            kept_set = set(kept)
-            ordered = [name for name in order if name in kept_set]
-            ordered += [name for name in kept if name not in set(ordered)]
-            kept = ordered
         self.var_vars: Dict[str, Var] = {
             name: Var.second(f"${name}") for name in kept}
 

@@ -205,7 +205,7 @@ def initial_store(schema: Schema, layout: TrackLayout) -> SymbolicStore:
     lim_var = layout.label_vars[("lim",)]
 
     record_labels = list(layout.record_labels())
-    field_labels = set(layout.labels_with_field())
+    field_labels = layout.labels_with_field()
 
     def is_rec(p: Var) -> Formula:
         return F.disj(label_of[label](p) for label in record_labels)

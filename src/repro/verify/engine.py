@@ -180,8 +180,9 @@ class SubgoalResult:
     #: statement-level backward slice (equal when slicing is off).
     statements_before: int = 0
     statements_after: int = 0
-    #: The BDD track order the ordering pass chose for the kept
-    #: program variables, None when the pass was off.
+    #: The kept program variables in BDD track order
+    #: (:func:`repro.analysis.order.choose_order`); None when no
+    #: attempt decided the subgoal.
     variable_order: Optional[Tuple[str, ...]] = None
     #: Verdict-cache trace (``{"fingerprint": ..., "hit": bool}``) when
     #: a cache was consulted, else None.
@@ -370,10 +371,6 @@ class SubgoalPlan:
     #: the statement slice and its kept tracks (the identity slice
     #: when slicing is off)
     sliced: SliceResult
-    #: the chosen track order, None for declaration order
-    variable_order: Optional[Tuple[str, ...]]
-    #: True when the chosen order differs from declaration order
-    order_changed: bool = False
 
     @property
     def statements(self) -> Tuple[object, ...]:
@@ -385,8 +382,7 @@ class SubgoalPlan:
         return self.sliced.tracks if self.reduce else None
 
     def layout(self, schema) -> TrackLayout:
-        return TrackLayout(schema, variables=self.keep,
-                           order=self.variable_order)
+        return TrackLayout(schema, variables=self.keep)
 
 
 def _trace_mode() -> str:
@@ -415,11 +411,8 @@ class Verifier:
 
     Args:
         program: the typed program to verify.
-        minimize_during: minimise intermediate automata (ablation
-            switch; leave True).
         simulate: run counterexamples through the concrete interpreter
             for richer explanations.
-        stop_at_first_failure: skip remaining subgoals after one fails.
         reduce: drop automaton tracks of variables outside each
             subgoal's cone of influence (:mod:`repro.analysis.slice`).
             Verdicts and counterexamples are unaffected; automata only
@@ -429,9 +422,6 @@ class Verifier:
             are unaffected (``docs/ARCHITECTURE.md`` §11); the
             transduction just wraps fewer predicates.  ``--no-slice``
             on the CLI turns it off.
-        order: register BDD tracks in dependency-affinity order
-            instead of declaration order (:mod:`repro.analysis.order`).
-            Renames BDD levels only; ``--no-order`` turns it off.
         cache_dir: root of an on-disk verdict cache
             (:mod:`repro.verify.cache`); subgoals whose content
             fingerprint is already stored replay their decided result
@@ -449,9 +439,6 @@ class Verifier:
         max_bdd_nodes: cap on each attempt's BDD-manager node count.
         max_states: cap on any single automaton's state count.
         max_steps: deterministic fuel cap on cooperative steps.
-        retry_alternate: when a subgoal trips a (non-deadline) budget
-            limit or raises, retry it once with the cone-of-influence
-            reduction toggled before recording a degraded outcome.
         jobs: worker processes deciding subgoals concurrently; 1 (the
             default) keeps today's in-process sequential behaviour,
             ``N > 1`` fans subgoals out over :mod:`repro.parallel`.
@@ -462,12 +449,9 @@ class Verifier:
     """
 
     def __init__(self, program: TypedProgram,
-                 minimize_during: bool = True,
                  simulate: bool = True,
-                 stop_at_first_failure: bool = False,
                  reduce: bool = True,
                  slice: bool = True,
-                 order: bool = True,
                  cache_dir: Optional[str] = None,
                  cache_max_mb: Optional[float] = None,
                  tracer: Optional[obs_trace.Tracer] = None,
@@ -475,24 +459,19 @@ class Verifier:
                  max_bdd_nodes: Optional[int] = None,
                  max_states: Optional[int] = None,
                  max_steps: Optional[int] = None,
-                 retry_alternate: bool = True,
                  jobs: int = 1) -> None:
         self.program = program
-        self.minimize_during = minimize_during
         self.simulate = simulate
         self.reduce = reduce
         self.slice = slice
-        self.order = order
         self.cache_dir = cache_dir
         self.cache_max_mb = cache_max_mb
         self.cache = open_cache(cache_dir, max_mb=cache_max_mb)
-        self.stop_at_first_failure = stop_at_first_failure
         self.tracer = tracer
         self.timeout = timeout
         self.max_bdd_nodes = max_bdd_nodes
         self.max_states = max_states
         self.max_steps = max_steps
-        self.retry_alternate = retry_alternate
         self.jobs = jobs
         self._budget: Optional[Budget] = None
         # One concrete interpreter serves every obligation and
@@ -583,8 +562,6 @@ class Verifier:
                 result.results.append(decided)
                 metrics.counter(
                     f"verify.outcome.{decided.outcome.value}").inc()
-                if self.stop_at_first_failure and not decided.valid:
-                    break
             # Gauges mirror the JSON report: the max over subgoals,
             # not whichever subgoal happened to be decided last.
             metrics.gauge("verify.tracks_before").set(
@@ -725,11 +702,10 @@ class Verifier:
     # ------------------------------------------------------------------
 
     def _plan_subgoal(self, subgoal: Subgoal, reduce: bool,
-                      slice_flag: bool, order_flag: bool) -> SubgoalPlan:
+                      slice_flag: bool) -> SubgoalPlan:
         """Prepare one decision attempt: one backward relevance pass
         (slicing the statements when ``slice_flag``, keeping the
-        tracks it finds relevant when ``reduce``), then the track
-        order for the kept variables."""
+        tracks it finds relevant when ``reduce``)."""
         schema = self.program.schema
         # Assume obligations are evaluated on the initial store, so
         # their variables must keep their tracks no matter what the
@@ -751,34 +727,18 @@ class Verifier:
                       if reduce else frozenset(schema.all_vars()))
             sliced = SliceResult(tuple(subgoal.statements), count, count,
                                  tracks)
-        variable_order: Optional[Tuple[str, ...]] = None
-        order_changed = False
-        if order_flag:
-            kept = (sliced.tracks if reduce
-                    else frozenset(schema.all_vars()))
-            obligation_vars = [item.vars for item in
-                               subgoal.assume + subgoal.check]
-            variable_order = choose_order(sliced.statements,
-                                          obligation_vars, schema, kept)
-            declared = tuple(name for name in schema.all_vars()
-                             if name in set(variable_order))
-            order_changed = variable_order != declared
-        return SubgoalPlan(reduce=reduce, sliced=sliced,
-                           variable_order=variable_order,
-                           order_changed=order_changed)
+        return SubgoalPlan(reduce=reduce, sliced=sliced)
 
     def _fingerprint(self, subgoal: Subgoal, plan: SubgoalPlan) -> str:
         """The verdict-cache key of one subgoal under this engine's
-        configuration.  Hashes the *original* statements — the slice,
-        cone and order are deterministic functions of them (and the
-        code fingerprint covers the functions themselves), while the
+        configuration.  Hashes the *original* statements — the slice
+        and cone are deterministic functions of them (and the code
+        fingerprint covers the functions themselves), while the
         counterexample simulation reads the originals directly."""
         options = (
-            f"minimize={self.minimize_during}",
             f"simulate={self.simulate}",
             f"reduce={plan.reduce}",
             f"slice={self.slice}",
-            f"order={self.order}",
             f"trace={_trace_mode()}",
         )
         return subgoal_fingerprint(
@@ -831,14 +791,13 @@ class Verifier:
     def analyze(self) -> Dict[str, object]:
         """The static per-subgoal preparation report behind
         ``repro analyze``: what the slice keeps and drops, which
-        tracks the cone of influence removes, the chosen track order
-        and the verdict-cache fingerprint.  Pure front-end work — no
-        automata are built, nothing is decided."""
+        tracks the cone of influence removes (``kept_vars`` in track
+        order) and the verdict-cache fingerprint.  Pure front-end
+        work — no automata are built, nothing is decided."""
         schema = self.program.schema
         entries: List[Dict[str, object]] = []
         for subgoal in self.collect_subgoals():
-            plan = self._plan_subgoal(subgoal, self.reduce, self.slice,
-                                      self.order)
+            plan = self._plan_subgoal(subgoal, self.reduce, self.slice)
             layout = plan.layout(schema)
             dropped = dropped_statements(subgoal.statements,
                                          plan.statements)
@@ -855,16 +814,12 @@ class Verifier:
                 "tracks_after": len(layout.free_vars()),
                 "kept_vars": layout.var_names(),
                 "dropped_vars": layout.dropped_vars(),
-                "variable_order": (None if plan.variable_order is None
-                                   else list(plan.variable_order)),
-                "reordered": plan.order_changed,
                 "fingerprint": self._fingerprint(subgoal, plan),
             })
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "program": self.program.name,
-            "options": {"reduce": self.reduce, "slice": self.slice,
-                        "order": self.order},
+            "options": {"reduce": self.reduce, "slice": self.slice},
             "subgoals": entries,
         }
 
@@ -872,13 +827,12 @@ class Verifier:
         """Decide one subgoal under the degradation ladder.
 
         The first attempt runs with the configured optimisations
-        (reduction, slicing, ordering); when it trips a budget cap or
-        raises, the subgoal is retried once with the reduction toggled
-        and slicing/ordering off (``retry_alternate``).  A passed
-        wall-clock deadline skips the retry — the second attempt could
-        only time out again.  A subgoal that no attempt could decide
-        is recorded with a degraded :class:`Outcome` instead of
-        aborting the run.
+        (reduction, slicing); when it trips a budget cap or raises,
+        the subgoal is retried once with the reduction toggled and
+        slicing off.  A passed wall-clock deadline skips the retry —
+        the second attempt could only time out again.  A subgoal that
+        no attempt could decide is recorded with a degraded
+        :class:`Outcome` instead of aborting the run.
 
         With a verdict cache configured, the subgoal's content
         fingerprint is looked up first; a hit replays the stored
@@ -889,25 +843,22 @@ class Verifier:
         budget = self._budget
         steps_before = budget.steps if budget is not None else 0
         started = time.perf_counter()
-        plans = [self._plan_subgoal(subgoal, self.reduce, self.slice,
-                                    self.order)]
-        if self.retry_alternate:
-            # The fallback rung toggles the reduction and turns the
-            # other optimisations off — maximally different from the
-            # first attempt.
-            plans.append(self._plan_subgoal(subgoal, not self.reduce,
-                                            False, False))
+        plan = self._plan_subgoal(subgoal, self.reduce, self.slice)
         fingerprint: Optional[str] = None
         if self.cache is not None:
-            fingerprint = self._fingerprint(subgoal, plans[0])
+            fingerprint = self._fingerprint(subgoal, plan)
             cached = self._cached_result(subgoal, fingerprint, budget,
                                          started)
             if cached is not None:
                 return cached
         last_exc: Optional[BaseException] = None
-        attempts = 0
-        for plan in plans:
-            attempts += 1
+        for attempts in (1, 2):
+            if attempts == 2:
+                # The fallback rung toggles the reduction and turns
+                # slicing off — maximally different from the first
+                # attempt.
+                plan = self._plan_subgoal(subgoal, not self.reduce,
+                                          False)
             try:
                 faults.fire("verify.decide")
                 result = self._decide_attempt(subgoal, plan)
@@ -970,7 +921,7 @@ class Verifier:
         with obs_trace.span("subgoal",
                             description=subgoal.description) as sub:
             schema = self.program.schema
-            compiler = Compiler(minimize_during=self.minimize_during)
+            compiler = Compiler()
             layout = plan.layout(schema)
             tracks_before = len(layout.labels) + len(schema.all_vars())
             tracks_after = len(layout.free_vars())
@@ -979,14 +930,11 @@ class Verifier:
                 tracks_before - tracks_after)
             metrics.counter("verify.slice.statements_dropped").inc(
                 plan.sliced.dropped)
-            if plan.order_changed:
-                metrics.counter("verify.order.reordered").inc()
             if sub:
                 sub.annotate(tracks_before=tracks_before,
                              tracks_after=tracks_after,
                              statements_before=plan.sliced.before,
-                             statements_after=plan.sliced.after,
-                             reordered=plan.order_changed)
+                             statements_after=plan.sliced.after)
             layout.register(compiler)
             st0 = initial_store(schema, layout)
             with obs_trace.span("exec.symbolic") as sp:
@@ -1036,7 +984,8 @@ class Verifier:
                              tracks_after=tracks_after,
                              statements_before=plan.sliced.before,
                              statements_after=plan.sliced.after,
-                             variable_order=plan.variable_order)
+                             variable_order=choose_order(schema,
+                                                         plan.keep))
 
     # ------------------------------------------------------------------
     # Counterexamples

@@ -19,14 +19,13 @@ engines — by cross-checking verdicts against the reference procedure:
   worker process after the run;
 * a **feature mode** (``--features``) cross-checks the engine's
   verdict-preserving optimisations the same way: every program with
-  statement slicing + track reduction + track ordering + a cold
-  verdict cache, then a warm cache replay, against the same run with
-  all of them off (``--no-slice --no-order --no-reduce``, so a fault
-  in the relevance pass cannot sit on both sides) — verdicts,
-  outcomes and failure presence must be identical (the comparison is
-  verdict-level: ordering legitimately changes which same-length
-  counterexample the BFS finds first), and the warm run must answer
-  every subgoal from the cache.
+  statement slicing + track reduction + a cold verdict cache, then a
+  warm cache replay, against the same run with all of them off
+  (``--no-slice --no-reduce``, so a fault in the relevance pass
+  cannot sit on both sides) — verdicts, outcomes and failure presence
+  must be identical (the comparison is verdict-level, see
+  :func:`verdict_view`), and the warm run must answer every subgoal
+  from the cache.
 
 Usable three ways: imported by the pytest suite (a fast subset), run
 as a script by CI's ``parallel-smoke`` job (the full corpus), or run
@@ -207,7 +206,7 @@ def diff_corpus(names: Optional[Sequence[str]] = None,
 def verdict_view(document):
     """The verdict-level projection used for feature comparisons.
 
-    Slicing, reduction, ordering and caching may change automaton
+    Slicing, reduction and caching may change automaton
     sizes, spans, timings and which of several same-length
     counterexamples the BFS reports first — but never verdicts,
     outcomes, or whether a counterexample exists.
@@ -234,8 +233,8 @@ def diff_features(name: str, jobs: int, cache_dir: str) -> List[str]:
     then a warm verdict cache, at the given parallelism."""
     jobs_args = [] if jobs <= 1 else ["-j", str(jobs)]
     off_code, off_doc, _ = run_cli_json(
-        ["verify", name, "--json", "--no-slice", "--no-order",
-         "--no-reduce", *jobs_args])
+        ["verify", name, "--json", "--no-slice", "--no-reduce",
+         *jobs_args])
     cold = run_cli_json(["verify", name, "--json",
                          "--cache-dir", cache_dir, *jobs_args])
     warm = run_cli_json(["verify", name, "--json",
@@ -345,7 +344,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="also run the seeded fault/budget storm")
     parser.add_argument("--features", action="store_true",
                         help="run the feature sweep instead: "
-                             "slicing/reduction/ordering/caching on "
+                             "slicing/reduction/caching on "
                              "(cold and warm cache) vs off, "
                              "verdict-for-verdict")
     parser.add_argument("--seed", type=int, default=1997)

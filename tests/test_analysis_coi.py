@@ -12,13 +12,12 @@ def typed(name):
 
 
 def subgoal_layouts(name):
-    """description -> kept variable names, per subgoal (ordering off,
-    so membership checks see declaration order)."""
-    verifier = Verifier(typed(name), order=False)
+    """description -> kept variable names, per subgoal."""
+    verifier = Verifier(typed(name))
     schema = verifier.program.schema
     return {subgoal.description:
             verifier._plan_subgoal(subgoal, verifier.reduce,
-                                   verifier.slice, False)
+                                   verifier.slice)
                     .layout(schema).var_names()
             for subgoal in verifier.collect_subgoals()}
 
@@ -101,7 +100,7 @@ class TestVerifierLayouts:
         # Slicing on: the slice's own tracks.  Slicing off: the cone
         # of the whole statement list.  Reduction off: every track.
         for name in sorted(ALL_PROGRAMS):
-            verifier = Verifier(typed(name), order=False)
+            verifier = Verifier(typed(name))
             schema = verifier.program.schema
             for subgoal in verifier.collect_subgoals():
                 assume = frozenset().union(
@@ -109,25 +108,22 @@ class TestVerifierLayouts:
                 check = frozenset().union(
                     *(item.vars for item in subgoal.check))
                 label = (name, subgoal.description)
-                sliced = verifier._plan_subgoal(subgoal, True, True,
-                                                False)
+                sliced = verifier._plan_subgoal(subgoal, True, True)
                 assert sliced.keep == slice_statements(
                     subgoal.statements, check, schema, assume).tracks, \
                     label
-                unsliced = verifier._plan_subgoal(subgoal, True, False,
-                                                  False)
+                unsliced = verifier._plan_subgoal(subgoal, True, False)
                 assert unsliced.statements == tuple(subgoal.statements)
                 assert unsliced.keep == cone_of_influence(
                     subgoal.statements, check, schema, assume), label
-                full = verifier._plan_subgoal(subgoal, False, True,
-                                              False)
+                full = verifier._plan_subgoal(subgoal, False, True)
                 assert full.keep is None, label
 
     def test_no_reduce_keeps_everything(self):
         verifier = Verifier(typed("reverse"), reduce=False)
         schema = verifier.program.schema
         for subgoal in verifier.collect_subgoals():
-            plan = verifier._plan_subgoal(subgoal, False, False, False)
+            plan = verifier._plan_subgoal(subgoal, False, False)
             layout = plan.layout(schema)
             assert layout.var_names() == ["x", "y", "p"]
             assert layout.dropped_vars() == []

@@ -1,7 +1,11 @@
-"""Tests for the dependency-driven BDD track ordering pass."""
+"""Tests for the BDD track order of a subgoal's kept variables."""
 
-from repro.analysis import affinity_graph, choose_order
+import pytest
+
+from repro.analysis import choose_order
 from repro.pascal import check_program, parse_program
+from repro.programs import ALL_PROGRAMS
+from repro.verify.engine import Verifier
 
 HEADER = """\
 program t;
@@ -9,79 +13,50 @@ type
   Color = (red, blue);
   List = ^Item;
   Item = record case tag: Color of red, blue: (next: List) end;
-{data} var x: List;
-{pointer} var p, q: List;
+{pointer} var q: List;
+{data} var y, x: List;
+{pointer} var p: List;
 begin
+  p := nil
+end.
 """
 
 
-def typed(body: str):
-    return check_program(parse_program(HEADER + body + "\nend.\n"))
-
-
-class TestAffinityGraph:
-    def test_assignment_links_source_and_target(self):
-        program = typed("  q := p")
-        graph = affinity_graph(program.body, [])
-        assert graph == {("p", "q"): 3}
-
-    def test_heap_write_links_cell_and_value(self):
-        program = typed("  p^.next := q")
-        graph = affinity_graph(program.body, [])
-        assert graph == {("p", "q"): 3}
-
-    def test_guard_atoms_link_operands(self):
-        program = typed("  if p = q then p := nil else q := nil")
-        graph = affinity_graph(program.body, [])
-        assert graph[("p", "q")] == 1
-
-    def test_obligations_link_their_free_variables(self):
-        program = typed("  p := nil")
-        graph = affinity_graph(program.body,
-                               [frozenset({"x", "q"})])
-        assert graph[("q", "x")] == 2
-
-    def test_weights_accumulate(self):
-        program = typed("  q := p;\n  p := q")
-        graph = affinity_graph(program.body, [])
-        assert graph == {("p", "q"): 6}
-
-    def test_self_edges_ignored(self):
-        program = typed("  p := p")
-        assert affinity_graph(program.body, []) == {}
+@pytest.fixture(scope="module")
+def schema():
+    return check_program(parse_program(HEADER)).schema
 
 
 class TestChooseOrder:
-    def test_no_edges_is_declaration_order(self):
-        program = typed("  p := nil")
-        order = choose_order(program.body, [], program.schema,
-                             ["x", "p", "q"])
-        assert order == ("x", "p", "q")
+    def test_data_then_pointer_variables_in_declaration_order(
+            self, schema):
+        assert choose_order(schema, None) == ("y", "x", "q", "p")
 
-    def test_affine_pair_becomes_adjacent(self):
-        # p-q interact; x is unrelated and declared first.  The chain
-        # starts from the strongest variable and keeps the pair
-        # adjacent instead of leaving x wedged between them.
-        program = typed("  q := p")
-        order = choose_order(program.body, [], program.schema,
-                             ["x", "p", "q"])
-        assert order == ("p", "q", "x")
+    def test_keep_set_filters(self, schema):
+        assert choose_order(schema, frozenset({"p", "x"})) == ("x", "p")
 
-    def test_keep_set_filters(self):
-        program = typed("  q := p")
-        order = choose_order(program.body, [], program.schema,
-                             ["q", "x"])
-        assert set(order) == {"q", "x"}
+    def test_order_ignores_the_keep_sets_iteration_order(self, schema):
+        keep = frozenset({"p", "q", "x", "y"})
+        assert choose_order(schema, keep) == choose_order(schema, None)
 
-    def test_deterministic(self):
-        program = typed("  q := p;\n  if p = x then p := nil"
-                        " else q := x")
-        args = (program.body, [frozenset({"x", "p"})],
-                program.schema, ["x", "p", "q"])
-        assert choose_order(*args) == choose_order(*args)
+    def test_empty_keep_set_keeps_no_track(self, schema):
+        assert choose_order(schema, frozenset()) == ()
 
-    def test_order_is_a_permutation(self):
-        program = typed("  q := p;\n  p := x;\n  x := q")
-        order = choose_order(program.body, [], program.schema,
-                             ["x", "p", "q"])
-        assert sorted(order) == ["p", "q", "x"]
+
+@pytest.mark.parametrize("flags", [{}, {"slice": False},
+                                   {"reduce": False}],
+                         ids=["default", "no-slice", "no-reduce"])
+def test_order_is_the_layouts_registration_order(flags):
+    # The layout registers exactly the plan's kept variables in the
+    # order the run report gives.
+    for name, source in sorted(ALL_PROGRAMS.items()):
+        program = check_program(parse_program(source))
+        verifier = Verifier(program, **flags)
+        schema = program.schema
+        for subgoal in verifier.collect_subgoals():
+            label = (name, subgoal.description)
+            plan = verifier._plan_subgoal(subgoal, verifier.reduce,
+                                          verifier.slice)
+            order = choose_order(schema, plan.keep)
+            assert list(order) == plan.layout(schema).var_names(), \
+                label

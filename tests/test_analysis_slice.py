@@ -169,7 +169,7 @@ class TestVerifierSlicing:
 
     def test_scan_verdict_identical_without_slicing(self):
         program = check_program(parse_program(ALL_PROGRAMS["scan"]))
-        baseline = Verifier(program, slice=False, order=False).verify()
+        baseline = Verifier(program, slice=False).verify()
         sliced = Verifier(program).verify()
         assert baseline.outcome is sliced.outcome
         assert baseline.valid is sliced.valid
@@ -181,5 +181,5 @@ class TestVerifierSlicing:
             verifier = Verifier(program)
             for subgoal in verifier.collect_subgoals():
                 plan = verifier._plan_subgoal(subgoal, verifier.reduce,
-                                              True, False)
+                                              True)
                 assert plan.sliced.after <= plan.sliced.before, name

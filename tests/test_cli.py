@@ -339,7 +339,7 @@ class TestLint:
 
 
 class TestAnalyze:
-    def test_text_report_shows_slice_and_order(self, capsys):
+    def test_text_report_shows_slice_and_tracks(self, capsys):
         assert main(["analyze", "scan"]) == 0
         out = capsys.readouterr().out
         assert "program scan" in out
@@ -351,10 +351,9 @@ class TestAnalyze:
     def test_json_report(self, capsys):
         assert main(["analyze", "scan", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["schema_version"] == 1
+        assert document["schema_version"] == 2
         assert document["program"] == "scan"
-        assert document["options"] == {"reduce": True, "slice": True,
-                                       "order": True}
+        assert document["options"] == {"reduce": True, "slice": True}
         assert document["subgoals"]
         assert any(entry["statements_after"] <
                    entry["statements_before"]
@@ -364,6 +363,8 @@ class TestAnalyze:
             dropped = (entry["statements_before"]
                        - entry["statements_after"])
             assert len(entry["dropped_statements"]) == dropped
+            assert "reordered" not in entry
+            assert "variable_order" not in entry
 
     def test_no_slice_drops_nothing(self, capsys):
         assert main(["analyze", "scan", "--json",
@@ -374,18 +375,25 @@ class TestAnalyze:
                 entry["statements_before"]
             assert entry["dropped_statements"] == []
 
-    def test_no_order_is_declaration_order(self, capsys):
-        assert main(["analyze", "scan", "--json",
-                     "--no-order"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert all(not entry["reordered"]
-                   for entry in document["subgoals"])
-
     def test_analyze_file(self, tmp_path, capsys):
         path = tmp_path / "prog.pas"
         path.write_text(ALL_PROGRAMS["reverse"])
         assert main(["analyze", str(path)]) == 0
         assert "subgoal(s)" in capsys.readouterr().out
+
+
+class TestEngineFlags:
+    @pytest.mark.parametrize("argv", [["verify", "scan"], ["table"],
+                                      ["analyze", "scan"], ["serve"]],
+                             ids=["verify", "table", "analyze", "serve"])
+    def test_no_order_is_not_a_flag(self, argv, capsys):
+        # Tracks are always registered in declaration order, so the
+        # subcommands that share the engine flags have no ordering
+        # switch; argparse rejects it before anything runs.
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--no-order"])
+        assert info.value.code == 2
+        assert "--no-order" in capsys.readouterr().err
 
 
 class TestCacheFlags:

@@ -5,6 +5,8 @@ and verdict preservation under generous limits."""
 
 import pytest
 
+from repro.pascal import check_program, parse_program
+from repro.programs import ALL_PROGRAMS
 from repro.robust.budget import (Budget, BudgetExceeded, NULL_BUDGET,
                                  activate, check_nodes, check_states,
                                  current_budget, tick)
@@ -141,10 +143,43 @@ class TestEngineBudgets:
         assert subgoal["attempts"] == 2
         assert subgoal["error"]
 
-    def test_retry_can_be_disabled(self):
+    def test_fallback_planned_only_after_a_failed_attempt(
+            self, monkeypatch):
+        # With reduction off, the fallback rung turns it on, and
+        # planning that rung runs the cone of influence: work no
+        # subgoal needs when its first attempt decides it.
+        from repro.verify import engine
+        calls = []
+        original = engine.cone_of_influence
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "cone_of_influence", spy)
+        program = check_program(parse_program(ALL_PROGRAMS["searchwf"]))
+        result = engine.Verifier(program, reduce=False).verify()
+        assert [sub.attempts for sub in result.results] == [1, 1, 1]
+        assert calls == []
+
+    def test_fallback_planned_once_when_the_first_attempt_fails(
+            self, monkeypatch):
+        # The ladder always runs: a tripped first attempt plans the
+        # fallback rung (reduction on, so one cone of influence) and
+        # tries it.
+        from repro.verify import engine
+        calls = []
+        original = engine.cone_of_influence
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "cone_of_influence", spy)
         result = verify_body("  p := x", post="p = x", max_states=2,
-                             retry_alternate=False)
-        assert result.results[0].attempts == 1
+                             reduce=False)
+        assert result.results[0].attempts == 2
+        assert len(calls) == 1
 
 
 class TestExceptionPickling:

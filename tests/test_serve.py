@@ -55,6 +55,8 @@ class TestProtocolDecoding:
          "bad-request"),
         ({"program": "reverse", "options": {"warp": True}}, 400,
          "bad-request"),
+        ({"program": "reverse", "options": {"order": True}}, 400,
+         "bad-request"),
         ({"program": "reverse", "options": {"reduce": "yes"}}, 400,
          "bad-request"),
         ({"program": "reverse", "budget": {"fuel": 3}}, 400,
@@ -114,7 +116,7 @@ class TestProtocolDecoding:
                          defaults={"reduce": False, "slice": True})
         assert request.reduce is False   # server default
         assert request.slice is False    # request override
-        assert request.order is True     # built-in default
+        assert request.simulate is True  # built-in default
 
     def test_decode_fault_site_fires(self):
         with faults.injected("serve.request_decode:error"):

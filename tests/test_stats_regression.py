@@ -7,12 +7,20 @@ formula sharing, or the restriction technique shows up as a test
 failure rather than a silent 100x slowdown.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.programs import REVERSE, SEARCH, TRIPLE
 from repro.verify import verify_source
 
 pytestmark = pytest.mark.slow
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 #: name -> (source, max states bracket, max nodes bracket, subgoals)
 BRACKETS = {
@@ -47,6 +55,26 @@ def test_statistics_are_deterministic():
     assert first.max_states == second.max_states
     assert first.max_nodes == second.max_nodes
     assert first.formula_size == second.formula_size
+
+
+def _subgoal_stats(name, hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULTS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "verify", name, "--json"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode in (0, 1), run.stderr
+    return [subgoal["stats"]
+            for subgoal in json.loads(run.stdout)["subgoals"]]
+
+
+@pytest.mark.parametrize("name", ["reverse", "search", "fumble"])
+def test_statistics_independent_of_hash_seed(name):
+    """Every exact count (BDD nodes, memo misses, automaton sizes) is
+    the same in processes with different string-hash seeds, so two
+    runs of the same code can be compared count for count."""
+    assert _subgoal_stats(name, "0") == _subgoal_stats(name, "3")
 
 
 def test_formula_sharing_keeps_sizes_linear():

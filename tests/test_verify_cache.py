@@ -291,7 +291,7 @@ class TestEngineCaching:
         program = typed("scan")
         Verifier(program, cache_dir=str(tmp_path)).verify()
         other = Verifier(program, cache_dir=str(tmp_path),
-                         order=False).verify()
+                         slice=False).verify()
         assert other.valid
         assert other.cache_hits == 0
 

@@ -196,11 +196,11 @@ class TestLoops:
             pre="p = nil")
         assert not result.valid
 
-    def test_stop_at_first_failure(self):
+    def test_every_subgoal_decided_after_a_failure(self):
         result = verify_body(
-            "  while x <> nil do {x = nil} x := x^.next",
-            stop_at_first_failure=True)
-        assert len(result.results) == 1
+            "  while x <> nil do {x = nil} x := x^.next")
+        assert [r.valid for r in result.results] == [False, True, True]
+        assert all(r.outcome.decided for r in result.results)
 
 
 class TestResultApi:

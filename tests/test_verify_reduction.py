@@ -11,19 +11,12 @@ from repro.verify.engine import Verifier
 
 @pytest.fixture(scope="module")
 def results():
-    """name -> (reduced result, unreduced result).
-
-    Track ordering is pinned off: the size-monotonicity property
-    below (dropping tracks never grows automata) only holds under a
-    fixed variable order, and the affinity pass legitimately chooses
-    different orders for the reduced and unreduced track sets.
-    """
+    """name -> (reduced result, unreduced result)."""
     out = {}
     for name, source in ALL_PROGRAMS.items():
         program = check_program(parse_program(source))
-        reduced = Verifier(program, order=False).verify()
-        unreduced = Verifier(program, reduce=False,
-                             order=False).verify()
+        reduced = Verifier(program).verify()
+        unreduced = Verifier(program, reduce=False).verify()
         out[name] = (reduced, unreduced)
     return out
 
