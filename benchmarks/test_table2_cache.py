@@ -1,16 +1,16 @@
-"""T2b — slicing ratios and verdict-cache speedup over the §6 corpus.
+"""T2b — slicing ratios and verdict-cache replay over the §6 corpus.
 
 Measures the statement slices the engine computes per program, then
-times the whole table cold (empty verdict cache) and warm (every
-subgoal replayed from disk), asserting the warm run hits on >= 90% of
-subgoals and finishes faster.  The measurements are amended into
+runs the whole table cold (empty verdict cache) and warm (every
+subgoal replayed from disk), asserting identical verdicts and that
+the warm run hits on >= 90% of subgoals.  Wall time is not asserted
+(``perfbench`` measures time).  The results are amended into
 ``benchmarks/out/table1.json`` as the ``slicing`` and ``cache``
 blocks (this file sorts after ``test_table1_statistics.py``, which
 writes the envelope first).
 """
 
 import json
-import time
 
 from repro.pascal import check_program, parse_program
 from repro.programs import ALL_PROGRAMS, TABLE_PROGRAMS
@@ -66,19 +66,16 @@ def test_slice_ratios_recorded():
 
 
 def _run_table(cache_dir):
-    start = time.perf_counter()
-    results = [verify_source(TABLE_PROGRAMS[name],
-                             cache_dir=cache_dir)
-               for name in TABLE_PROGRAMS]
-    return results, time.perf_counter() - start
+    return [verify_source(TABLE_PROGRAMS[name], cache_dir=cache_dir)
+            for name in TABLE_PROGRAMS]
 
 
 def test_cache_cold_warm_recorded(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    cold_results, cold_seconds = _run_table(cache_dir)
-    warm_results, warm_seconds = _run_table(cache_dir)
+    cold_results = _run_table(cache_dir)
+    warm_results = _run_table(cache_dir)
 
-    # Verdict identity first: a fast wrong answer is no speedup.
+    # Verdict identity first: a replayed wrong answer is no gain.
     assert [r.valid for r in warm_results] == \
         [r.valid for r in cold_results]
     assert all(result.valid for result in warm_results)
@@ -86,27 +83,17 @@ def test_cache_cold_warm_recorded(tmp_path):
     subgoals = sum(len(result.results) for result in warm_results)
     hits = sum(result.cache_hits for result in warm_results)
     hit_rate = hits / subgoals if subgoals else 0.0
-    speedup = cold_seconds / warm_seconds \
-        if warm_seconds else float("inf")
     block = {
         "programs": len(TABLE_PROGRAMS),
         "subgoals": subgoals,
-        "cold_seconds": round(cold_seconds, 3),
-        "warm_seconds": round(warm_seconds, 3),
-        "speedup": round(speedup, 3),
         "warm_hits": hits,
         "warm_hit_rate": round(hit_rate, 3),
     }
     _amend("cache", block)
     print()
-    print(f"table cache: cold {cold_seconds:.2f}s -> warm "
-          f"{warm_seconds:.2f}s ({speedup:.2f}x, "
-          f"{hits}/{subgoals} hits)")
+    print(f"table cache: {hits}/{subgoals} warm hits")
 
     assert sum(r.cache_hits for r in cold_results) == 0
     assert hit_rate >= 0.9, (
         f"warm table run must replay >= 90% of subgoals from the "
         f"cache, measured {hit_rate:.2f}")
-    assert warm_seconds < cold_seconds, (
-        f"warm run must be faster: cold {cold_seconds:.2f}s, warm "
-        f"{warm_seconds:.2f}s")

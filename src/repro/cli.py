@@ -41,13 +41,14 @@ Resource budgets (``--timeout``, ``--max-bdd-nodes``, ``--max-states``,
 limit degrades to a structured TIMEOUT/BUDGET_EXCEEDED outcome instead
 of hanging (see ``docs/ARCHITECTURE.md`` §9).
 
-``--jobs N`` (``-j N``) fans subgoals (``verify``) or whole programs
-(``table``) across N worker processes, each idle worker taking the
-next task in submission order; ``-j 0`` means one worker per CPU, and
-the default 1 keeps everything in-process.  Reports are verdict- and
-schema-identical either way (``docs/ARCHITECTURE.md`` §10); under
-``--timeout`` the run deadline is partitioned across subgoals so a
-stuck worker cannot starve its siblings.
+``--jobs N`` (``-j N``) fans subgoals across N worker processes
+(``table`` puts every program's subgoals into one pool), each idle
+worker taking the next subgoal in submission order; ``-j 0`` means
+one worker per CPU, and the default 1 keeps everything in-process.
+Reports are verdict- and schema-identical either way
+(``docs/ARCHITECTURE.md`` §10); under ``--timeout`` each program's
+deadline is partitioned across its subgoals so a stuck worker cannot
+starve its siblings.
 
 Exit codes (``verify`` and ``table``): 0 verified, 1 failed with a
 counterexample, 2 usage or front-end error, 3 degraded (a budget limit
@@ -76,14 +77,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ReproError
 from repro.obs import trace as obs_trace
-from repro.programs import ALL_PROGRAMS, TABLE_PROGRAMS
+from repro.pascal import check_program, parse_program
+from repro.programs import ALL_PROGRAMS, TABLE_PROGRAMS, load_source
 from repro.robust import faults
 from repro.robust.budget import BudgetExceeded
-from repro.verify import Outcome, VerificationResult, verify_source
+from repro.verify import (Outcome, VerificationResult, Verifier,
+                          verify_source)
 from repro.verify.report import (format_json, format_result,
                                  format_table, format_timing_tree)
 
@@ -91,7 +94,8 @@ _EXIT_CODES_HELP = """\
 exit codes:
   0    verified — every subgoal decided valid
   1    failed — some subgoal has a counterexample
-  2    usage or front-end error (parse, type, annotation)
+  2    usage or front-end error (unreadable source, parse, type,
+       annotation)
   3    degraded — a budget limit tripped (TIMEOUT/BUDGET_EXCEEDED)
        or an internal error was isolated to a subgoal (ERROR)
   130  interrupted (Ctrl-C); with --json the partial report is
@@ -287,9 +291,10 @@ def _add_jobs_flag(command: argparse.ArgumentParser) -> None:
     """The parallel-execution flag shared by verify and table."""
     command.add_argument("-j", "--jobs", type=int, default=1,
                          metavar="N",
-                         help="decide subgoals (verify) or programs "
-                              "(table) across N worker processes; 0 = "
-                              "one per CPU [default: 1, sequential]")
+                         help="decide subgoals across N worker "
+                              "processes (table: one pool for every "
+                              "program); 0 = one per CPU [default: 1, "
+                              "sequential]")
 
 
 def _add_budget_flags(command: argparse.ArgumentParser) -> None:
@@ -357,7 +362,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         from repro.parallel import resolve_jobs
 
-        source = _load(args.file)
+        source = load_source(args.file)
         tracer = _make_tracer(args)
         result = verify_source(source, simulate=not args.no_simulate,
                                reduce=not args.no_reduce,
@@ -387,36 +392,61 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _table(args: argparse.Namespace) -> int:
     """Verify the table corpus; always flush the (possibly partial)
-    report, even when interrupted mid-corpus."""
-    from repro.parallel import resolve_jobs
+    report, even when interrupted mid-corpus.
+
+    Every program's front end runs here, in input order, so a
+    ``--keep-going`` error row comes from the one ``except`` below.
+    Sequentially each program is then verified in turn; under
+    ``--jobs`` its subgoals go to one pool the whole table shares,
+    and the programs are gathered in input order."""
+    from repro.parallel import SubgoalFanOut, open_pool, resolve_jobs
 
     names = args.names or list(TABLE_PROGRAMS)
     jobs = resolve_jobs(args.jobs)
+    pool = open_pool(jobs) if jobs > 1 else None
+    runs: List[Union[VerificationResult, SubgoalFanOut]] = []
     results: List[VerificationResult] = []
-    interrupted = False
-    if jobs > 1:
-        results, interrupted = _table_parallel(names, jobs, args)
-    else:
+    interrupted = clean = False
+    try:
         for name in names:
             try:
-                source = _load(name)
-                result = verify_source(source,
-                                       reduce=not args.no_reduce,
-                                       slice=not args.no_slice,
-                                       cache_dir=_cache_dir(args),
-                                       cache_max_mb=args.cache_max_mb,
-                                       **_budget_kwargs(args))
+                verifier = Verifier(
+                    check_program(parse_program(load_source(name))),
+                    reduce=not args.no_reduce, slice=not args.no_slice,
+                    cache_dir=_cache_dir(args),
+                    cache_max_mb=args.cache_max_mb,
+                    **_budget_kwargs(args))
+                if pool is not None:
+                    runs.append(SubgoalFanOut(
+                        pool, verifier, verifier.collect_subgoals()))
+                    continue
+                result = verifier.verify()
             except KeyboardInterrupt:
                 interrupted = True
                 break
-            except (ReproError, OSError) as exc:
+            except ReproError as exc:
                 if not args.keep_going:
                     raise
                 result = VerificationResult(program=name, error=str(exc))
-            results.append(result)
+            runs.append(result)
             if result.interrupted:
-                interrupted = True
                 break
+        # A parallel table interrupted in its front end has decided
+        # nothing, so there is nothing to gather.
+        if pool is None or not interrupted:
+            for run in runs:
+                result = (run.result() if isinstance(run, SubgoalFanOut)
+                          else run)
+                results.append(result)
+                if result.interrupted:
+                    interrupted = True
+                    break
+        clean = not interrupted
+    finally:
+        if pool is not None:
+            # Terminating instead of draining an interrupted or failed
+            # table leaves no worker behind.
+            pool.close(drain=clean)
     if args.json:
         import json as _json
         print(_json.dumps([result.to_dict() for result in results],
@@ -429,33 +459,10 @@ def _table(args: argparse.Namespace) -> int:
     return _combined_exit_code(results, interrupted)
 
 
-def _table_parallel(names: List[str], jobs: int,
-                    args: argparse.Namespace):
-    """Fan whole programs across the worker pool.  A KeyboardInterrupt
-    (from the terminal or injected in a worker) terminates the pool
-    and leaves the partial results for the caller to flush."""
-    from repro.parallel import EngineOptions, run_table
-
-    budget = _budget_kwargs(args)
-    options = EngineOptions(
-        reduce=not args.no_reduce,
-        slice=not args.no_slice,
-        cache_dir=_cache_dir(args),
-        cache_max_mb=args.cache_max_mb,
-        timeout=budget["timeout"],
-        max_bdd_nodes=budget["max_bdd_nodes"],
-        max_states=budget["max_states"],
-        max_steps=budget["max_steps"])
-    return run_table(names, options, jobs, keep_going=args.keep_going)
-
-
 def _analyze(args: argparse.Namespace) -> int:
     """Print the engine's per-subgoal preparation (slices, cones,
     fingerprints) without deciding anything."""
-    from repro.pascal import check_program, parse_program
-    from repro.verify.engine import Verifier
-
-    program = check_program(parse_program(_load(args.file)))
+    program = check_program(parse_program(load_source(args.file)))
     verifier = Verifier(program,
                         reduce=not args.no_reduce,
                         slice=not args.no_slice)
@@ -494,7 +501,7 @@ def _lint(files: List[str], as_json: bool, strict: bool) -> int:
     targets = []
     errors = warnings = 0
     for spec in files:
-        diagnostics = lint_source(_load(spec))
+        diagnostics = lint_source(load_source(spec))
         file_errors = sum(1 for d in diagnostics
                           if d.severity is Severity.ERROR)
         file_warnings = len(diagnostics) - file_errors
@@ -542,7 +549,6 @@ def _synthesize(formula_text: str, program_name: str) -> int:
     formula, over the schema of the given program."""
     from repro.mso.build import FormulaBuilder
     from repro.mso.compile import Compiler
-    from repro.pascal import check_program, parse_program
     from repro.storelogic import check_formula, parse_formula
     from repro.storelogic.translate import translate_formula
     from repro.stores import decode_store, render_store, render_symbols
@@ -550,7 +556,7 @@ def _synthesize(formula_text: str, program_name: str) -> int:
     from repro.symbolic.state import initial_store
     from repro.symbolic.wf import wf_string
 
-    program = check_program(parse_program(_load(program_name)))
+    program = check_program(parse_program(load_source(program_name)))
     schema = program.schema
     formula = check_formula(parse_formula(formula_text), schema)
     compiler = Compiler()
@@ -568,11 +574,6 @@ def _synthesize(formula_text: str, program_name: str) -> int:
     print("string:", render_symbols(symbols))
     print(render_store(decode_store(schema, symbols)))
     return 0
-
-
-def _load(name_or_path: str) -> str:
-    from repro.programs import load_source
-    return load_source(name_or_path)
 
 
 if __name__ == "__main__":

@@ -139,13 +139,13 @@ class Histogram:
 class MetricsRegistry:
     """Creates-on-first-use registry of named metrics.
 
-    Handle creation, merging and export are guarded by a lock so the
-    registry can be shared between threads (the serving daemon's
-    dispatcher, request handlers and stats endpoint all touch the
-    same registry).  The individual metric operations (``inc``,
-    ``set``, ``observe``) stay lock-free — they are single bytecode
-    read-modify-writes on the hot path, and the daemon only ever
-    mutates a given handle from one thread at a time.
+    Handle creation, merging and export are guarded by one reentrant
+    lock (a merge creates handles) so the registry can be shared
+    between threads (the serving daemon's dispatcher, request
+    handlers and stats endpoint all touch the same registry).  The
+    individual metric operations (``inc``, ``set``, ``observe``) stay
+    lock-free — they are single bytecode read-modify-writes on the
+    hot path.
     """
 
     enabled = True
@@ -154,7 +154,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def __getstate__(self) -> Dict[str, object]:
         # Locks cannot cross the worker process boundary; the reply
@@ -165,7 +165,7 @@ class MetricsRegistry:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def counter(self, name: str) -> Counter:
         found = self._counters.get(name)
@@ -189,29 +189,25 @@ class MetricsRegistry:
                                                     Histogram(name))
         return found
 
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
+    def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one, metric by metric:
-        counters sum, gauges take maxima, histograms accumulate.
-
-        A non-empty ``prefix`` records the other registry's metrics
-        under namespaced names instead (``worker.3.<name>``), which is
-        how the parallel executor keeps both a per-worker view and —
-        via a second prefix-less merge — the merged view whose numbers
-        match a single-process run.
-        """
-        for name, counter in other._counters.items():
-            self.counter(prefix + name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(prefix + name).merge(gauge)
-        for name, histogram in other._histograms.items():
-            self.histogram(prefix + name).merge(histogram)
+        counters sum, gauges take maxima, histograms accumulate."""
+        with self._lock:
+            for name, counter in other._counters.items():
+                self.counter(name).merge(counter)
+            for name, gauge in other._gauges.items():
+                self.gauge(name).merge(gauge)
+            for name, histogram in other._histograms.items():
+                self.histogram(name).merge(histogram)
 
     def to_dict(self) -> Dict[str, object]:
         """All metrics, name-sorted, JSON-ready."""
         merged: Dict[str, object] = {}
-        for table in (self._counters, self._gauges, self._histograms):
-            for name, metric in table.items():
-                merged[name] = metric.to_dict()
+        with self._lock:
+            for table in (self._counters, self._gauges,
+                          self._histograms):
+                for name, metric in table.items():
+                    merged[name] = metric.to_dict()
         return {name: merged[name] for name in sorted(merged)}
 
 
@@ -259,7 +255,7 @@ class _NullRegistry:
     def histogram(self, name: str) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
-    def merge(self, other, prefix: str = "") -> None:
+    def merge(self, other) -> None:
         pass
 
     def to_dict(self) -> Dict[str, object]:

@@ -1,21 +1,23 @@
-"""Sharded parallel verification (``--jobs N``).
+"""Parallel verification (``--jobs N``) and its supervised pool.
 
-Fans independent subgoals — and whole programs, for ``repro table``
-and batch runs — across a pool of worker processes, one BDD manager
-per worker, then merges per-worker ``CompilationStats``, metrics and
-outcomes back into a single :class:`~repro.verify.VerificationResult`
-whose JSON report is schema-compatible (schema_version 2) and
-verdict-identical with a sequential run.
+Fans one program's subgoals — the loop-free triples paper §5 decides
+one at a time — across a pool of worker processes, one BDD manager
+per worker, then reassembles per-subgoal results, stats and metrics
+into a single :class:`~repro.verify.VerificationResult` whose JSON
+report is schema-compatible (schema_version 2) and verdict-identical
+with a sequential run.  ``verify -j``, ``table -j`` and ``repro
+serve`` all go through the one fan-out,
+:class:`~repro.parallel.pool.SubgoalFanOut`.
 
 Module map:
 
 * :mod:`repro.parallel.wire` — picklable task/result payloads;
-* :mod:`repro.parallel.worker` — worker-process entry points;
+* :mod:`repro.parallel.worker` — the worker-process entry point;
 * :mod:`repro.parallel.supervise` — the supervised pool: a FIFO task
   queue, heartbeat and exit-code watch, respawn, retry with backoff,
   quarantine;
-* :mod:`repro.parallel.pool` — the executor: index-order submission,
-  deadline partitioning and the merge logic.
+* :mod:`repro.parallel.pool` — the fan-out: index-order submission,
+  deadline partitioning, and one rule for every reply.
 
 Worker death is a *normal event* here: a crashed, OOM-killed or hung
 worker is respawned and its in-flight task retried; a task that kills
@@ -26,15 +28,12 @@ sequential and parallel runs over the whole corpus must produce
 identical normalized reports.
 """
 
-from repro.parallel.pool import (crash_subgoal_wire, engine_options,
-                                 error_subgoal_wire, partition_deadline,
-                                 resolve_jobs, run_table,
-                                 verify_parallel)
-from repro.parallel.supervise import (CrashReply, SupervisedPool,
-                                      run_supervised)
+from repro.parallel.pool import (SubgoalFanOut, engine_options,
+                                 open_pool, partition_deadline,
+                                 resolve_jobs, verify_parallel)
+from repro.parallel.supervise import CrashReply, SupervisedPool
 from repro.parallel.wire import EngineOptions
 
-__all__ = ["CrashReply", "EngineOptions", "SupervisedPool",
-           "crash_subgoal_wire", "engine_options", "error_subgoal_wire",
-           "partition_deadline", "resolve_jobs", "run_supervised",
-           "run_table", "verify_parallel"]
+__all__ = ["CrashReply", "EngineOptions", "SubgoalFanOut",
+           "SupervisedPool", "engine_options", "open_pool",
+           "partition_deadline", "resolve_jobs", "verify_parallel"]

@@ -1,4 +1,4 @@
-"""The process-pool executor: fan out, merge, reassemble.
+"""The subgoal fan-out: submit, gather, reassemble.
 
 Parallel verification is only worth having if it is *observationally
 equivalent* to the sequential engine — same verdicts, same outcomes,
@@ -6,20 +6,22 @@ same counterexamples, same per-subgoal statistics, same JSON schema.
 The design here buys that equivalence structurally:
 
 * the unit of work is exactly the sequential engine's unit of
-  isolation (one subgoal, or one whole program for ``table``), decided
-  by the very same :class:`~repro.verify.engine.Verifier` code path in
-  the worker, with a fresh BDD manager per attempt as always;
-* tasks enter the supervised pool's FIFO queue
+  isolation — one subgoal, the loop-free triple paper §5 decides on
+  its own — decided by the very same
+  :class:`~repro.verify.engine.Verifier` code path in the worker, with
+  a fresh BDD manager per attempt as always;
+* :class:`SubgoalFanOut` is the only fan-out: ``verify -j`` makes one
+  per run, ``table -j`` one per program over a pool the whole table
+  shares, and ``repro serve`` one per request over the daemon's pool;
+* its tasks enter the supervised pool's FIFO queue
   (:mod:`repro.parallel.supervise`) in index order, and an idle
   worker takes the next one;
 * workers ship back plain data (:mod:`repro.parallel.wire`); the
   parent reassembles results **in subgoal order**, so every reporter
   and the JSON document see the order a sequential run would produce;
-* per-worker metrics registries are merged into the parent's both
-  under ``worker.<slot>.`` namespaces and into the top-level merged
-  view (counters sum, gauges max — PR 2's max-over-subgoals rule);
-* per-worker ``CompilationStats`` ride inside each subgoal result and
-  aggregate through the existing ``CompilationStats.merge``.
+* each reply's worker metrics registry is merged once into the
+  parent's (counters sum, gauges max — the max-over-subgoals rule),
+  and per-subgoal ``CompilationStats`` ride inside each result.
 
 The one documented divergence: a run deadline is *partitioned*
 (:func:`partition_deadline`) rather than shared absolutely, so a
@@ -32,19 +34,20 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple
+import queue
+import time
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ReproError
 from repro.mso.compile import CompilationStats
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import current_metrics
-from repro.parallel.supervise import CrashReply, run_supervised
-from repro.parallel.wire import (EngineOptions, ProgramTask, SubgoalTask,
-                                 WireSubgoalResult, WorkerReply,
-                                 rebuild_run, rebuild_subgoal_result)
-from repro.parallel import worker as worker_mod
-from repro.verify.engine import (Outcome, VerificationResult, Verifier)
+from repro.parallel.supervise import CrashReply, SupervisedPool
+from repro.parallel.wire import (EngineOptions, SubgoalTask,
+                                 WorkerReply, rebuild_subgoal_result)
+from repro.parallel.worker import run_subgoal_task
+from repro.verify.engine import (Outcome, Subgoal, SubgoalResult,
+                                 VerificationResult, Verifier,
+                                 describe_exception, record_run_metrics)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -97,200 +100,127 @@ def engine_options(verifier: Verifier) -> EngineOptions:
     )
 
 
-class _ReplyCollector:
-    """Merges worker replies into the parent's metrics registry,
-    assigning dense worker slots (``worker.0``, ``worker.1``, ...) in
-    first-reply order so namespaces are stable run to run."""
-
-    def __init__(self) -> None:
-        self._slots: Dict[int, int] = {}
-
-    def absorb(self, reply: WorkerReply) -> None:
-        if reply.metrics is None:
-            return
-        registry = current_metrics()
-        if not registry.enabled:
-            return
-        slot = self._slots.setdefault(reply.pid, len(self._slots))
-        registry.merge(reply.metrics)
-        registry.merge(reply.metrics, prefix=f"worker.{slot}.")
+def open_pool(jobs: int,
+              hang_timeout: Optional[float] = None) -> SupervisedPool:
+    """A supervised pool of subgoal workers.  ``REPRO_FAULTS`` is
+    forwarded to every worker it spawns."""
+    return SupervisedPool(run_subgoal_task, jobs,
+                          faults_spec=os.environ.get("REPRO_FAULTS", ""),
+                          hang_timeout=hang_timeout)
 
 
-def error_subgoal_wire(index: int, message: str, attempts: int = 1,
-                       description: str = "") -> WireSubgoalResult:
-    """A synthesized ``ERROR`` row for a subgoal no worker could
-    answer — the supervised-pool analogue of the engine's degradation
-    ladder, so a lost task surfaces exactly like any other per-subgoal
-    failure: a row in the report, never a hung run."""
-    return WireSubgoalResult(
-        index=index,
-        description=description or f"subgoal {index}",
-        valid=False,
-        outcome=Outcome.ERROR.value,
-        error=message,
-        attempts=attempts,
-        budget=None,
-        seconds=0.0,
-        formula_size=0,
-        tracks_before=0,
-        tracks_after=0,
-        stats=CompilationStats(),
-        span=None,
-        counterexample=None,
-    )
+def error_row(subgoal: Subgoal, message: str,
+              attempts: int = 1) -> SubgoalResult:
+    """The ``ERROR`` row of a subgoal no worker decided: a lost task
+    surfaces like any other degraded subgoal — a row in the report,
+    never a hung run or a raw traceback."""
+    return SubgoalResult(subgoal=subgoal, valid=False,
+                         counterexample=None, stats=CompilationStats(),
+                         formula_size=0, seconds=0.0,
+                         outcome=Outcome.ERROR, error=message,
+                         attempts=attempts)
 
 
-def crash_subgoal_wire(index: int, crash: CrashReply,
-                       description: str = "") -> WireSubgoalResult:
-    """Fold a quarantined subgoal task (the worker died on every
-    attempt — OOM kill, hard exit, hang) into a structured ``ERROR``
-    row."""
-    return error_subgoal_wire(index, crash.describe(),
-                              attempts=crash.attempts,
-                              description=description)
+class SubgoalFanOut:
+    """One program's subgoals in flight on a supervised pool.
 
+    Construction submits one :class:`SubgoalTask` per subgoal, in
+    index order, each carrying its :func:`partition_deadline` slice of
+    the verifier's timeout; :meth:`result` gathers the answers.
+    """
 
-# ----------------------------------------------------------------------
-# verify -j N: subgoal-level parallelism
-# ----------------------------------------------------------------------
+    def __init__(self, pool: SupervisedPool, verifier: Verifier,
+                 subgoals: List[Subgoal]) -> None:
+        self.verifier = verifier
+        self.subgoals = subgoals
+        self._replies: "queue.Queue[Union[CrashReply, WorkerReply]]" \
+            = queue.Queue()
+        options = engine_options(verifier)
+        timeout_slice = partition_deadline(verifier.timeout,
+                                           len(subgoals), pool.jobs)
+        for index in range(len(subgoals)):
+            pool.submit(SubgoalTask(program=verifier.program,
+                                    index=index, options=options,
+                                    timeout_slice=timeout_slice),
+                        index, self._replies.put)
+
+    def result(self, deadline: Optional[float] = None
+               ) -> VerificationResult:
+        """Gather every answer into one result, in subgoal order.
+
+        One rule covers every answer.  A worker result is rebuilt
+        against the parent's own subgoal.  A :class:`CrashReply` (the
+        task was quarantined, or the pool shut down first) or an
+        ``error`` reply becomes an ``ERROR`` row.  An ``interrupted``
+        reply, or a KeyboardInterrupt here, stops the gather and marks
+        the run interrupted; the subgoals answered so far are kept.  A
+        subgoal still unanswered at ``deadline`` (a
+        :func:`time.monotonic` instant; None waits for every answer)
+        becomes an ``ERROR`` row.  Each reply's worker metrics are
+        merged once into :func:`current_metrics`.
+        """
+        verifier = self.verifier
+        result = VerificationResult(verifier.program.name)
+        budget = verifier._make_budget(verifier.timeout)
+        if budget is not None:
+            result.budget = budget.limits()
+        rows: Dict[int, SubgoalResult] = {}
+        try:
+            while len(rows) < len(self.subgoals):
+                wait = None if deadline is None \
+                    else max(0.0, deadline - time.monotonic())
+                try:
+                    reply = self._replies.get(timeout=wait)
+                except queue.Empty:
+                    break
+                index = int(reply.key)  # type: ignore[arg-type]
+                subgoal = self.subgoals[index]
+                if isinstance(reply, CrashReply):
+                    rows[index] = error_row(subgoal, reply.describe(),
+                                            reply.attempts)
+                    continue
+                if reply.metrics is not None:
+                    current_metrics().merge(reply.metrics)
+                if reply.kind == "interrupted":
+                    result.interrupted = True
+                    break
+                if reply.kind == "error":
+                    message = describe_exception(
+                        reply.value)  # type: ignore[arg-type]
+                    rows[index] = error_row(subgoal,
+                                            f"worker error: {message}")
+                else:
+                    rows[index] = rebuild_subgoal_result(
+                        reply.value, subgoal)  # type: ignore[arg-type]
+        except KeyboardInterrupt:
+            result.interrupted = True
+        for index, subgoal in enumerate(self.subgoals):
+            if index in rows:
+                result.results.append(rows[index])
+            elif not result.interrupted:
+                result.results.append(error_row(
+                    subgoal, "no worker answered before the deadline"))
+        record_run_metrics(result)
+        return result
+
 
 def verify_parallel(verifier: Verifier) -> VerificationResult:
-    """Decide one program's subgoals across a worker pool.
+    """Decide one program's subgoals on a pool of its own.
 
-    The reassembled result is verdict-, outcome-, counterexample- and
-    stats-identical to ``verifier.verify()`` with ``jobs=1``; only
-    wall-clock time and the deadline-sharing rule differ.
+    The subgoals are collected first, so a front-end failure surfaces
+    exactly as in the sequential path, before any worker exists.  The
+    result is verdict-, outcome-, counterexample- and stats-identical
+    to ``verifier.verify()`` with ``jobs=1``; only wall-clock time and
+    the deadline-sharing rule differ.
     """
-    program = verifier.program
-    # Front-end failures (unsupported nesting, bad annotations) must
-    # surface exactly as in the sequential path: before any worker.
     subgoals = verifier.collect_subgoals()
-    jobs = max(1, min(verifier.jobs, len(subgoals)))
-    options = engine_options(verifier)
-
-    result = VerificationResult(program.name)
-    budget = verifier._make_budget(verifier.timeout)
-    if budget is not None:
-        result.budget = budget.limits()
-
-    indices = list(range(len(subgoals)))
-    slice_seconds = partition_deadline(verifier.timeout, len(indices),
-                                       jobs)
-    payloads: List[object] = [
-        SubgoalTask(program=program, index=index, options=options,
-                    timeout_slice=slice_seconds)
-        for index in indices]
-
-    collector = _ReplyCollector()
-    wires: Dict[int, object] = {}
-    errors: List[BaseException] = []
-
-    def on_reply(reply) -> bool:
-        if isinstance(reply, CrashReply):
-            # The worker died on every attempt: a structured ERROR
-            # row, exactly like any other degraded subgoal.
-            index = int(reply.key)  # type: ignore[arg-type]
-            wires[index] = crash_subgoal_wire(
-                index, reply,
-                description=getattr(subgoals[index], "description", ""))
-            return False
-        collector.absorb(reply)
-        if reply.kind == "error":
-            # Unexpected escape (the engine degrades everything it
-            # can); surface it like the sequential path would.
-            errors.append(reply.value)  # type: ignore[arg-type]
-            return True
-        wires[int(reply.key)] = reply.value  # type: ignore[arg-type]
-        return False
-
-    tracer = verifier.tracer
-    with obs_trace.activate(tracer) if tracer is not None \
-            else nullcontext():
-        with obs_trace.span("verify", program=program.name,
-                            parallel=True, jobs=jobs,
-                            subgoals=len(subgoals)):
-            interrupted = run_supervised(payloads, indices,
-                                         worker_mod.run_subgoal_task,
-                                         jobs, on_reply)
-    if errors:
-        raise errors[0]
-
-    metrics = current_metrics()
-    budget_steps = 0
-    for index in range(len(subgoals)):
-        wire = wires.get(index)
-        if wire is None:
-            continue  # undecided at interrupt time
-        decided = rebuild_subgoal_result(wire, subgoals[index])
-        result.results.append(decided)
-        metrics.counter(
-            f"verify.outcome.{decided.outcome.value}").inc()
-        if decided.budget is not None:
-            budget_steps += int(decided.budget.get("steps") or 0)
-    result.interrupted = interrupted
-    metrics.gauge("verify.tracks_before").set(result.tracks_before)
-    metrics.gauge("verify.tracks_after").set(result.tracks_after)
-    if result.budget is not None:
-        metrics.gauge("verify.budget.steps").set(budget_steps)
+    pool = open_pool(min(verifier.jobs, len(subgoals)))
+    clean = False
+    try:
+        result = SubgoalFanOut(pool, verifier, subgoals).result()
+        clean = not result.interrupted
+    finally:
+        # An interrupted or failed run terminates the pool instead of
+        # draining it, so no orphaned worker outlives the run.
+        pool.close(drain=clean)
     return result
-
-
-# ----------------------------------------------------------------------
-# table --jobs N: program-level parallelism
-# ----------------------------------------------------------------------
-
-def run_table(names: List[str], options: EngineOptions, jobs: int,
-              keep_going: bool = False
-              ) -> Tuple[List[VerificationResult], bool]:
-    """Verify many programs across a worker pool.
-
-    Returns the results **in input order** (restricted to the
-    programs that finished, when interrupted) plus the interrupted
-    flag — the same contract as the sequential ``table`` loop.  Each
-    program gets the full configured timeout, exactly as sequential
-    ``table`` re-creates a budget per program.
-    """
-    jobs = max(1, min(jobs, len(names))) if names else 1
-    payloads: List[object] = [
-        ProgramTask(name=name, options=options, keep_going=keep_going)
-        for name in names]
-
-    collector = _ReplyCollector()
-    finished: Dict[str, VerificationResult] = {}
-    errors: List[BaseException] = []
-    saw_engine_interrupt = [False]
-
-    def on_reply(reply) -> bool:
-        name = str(reply.key)
-        if isinstance(reply, CrashReply):
-            # A program whose worker died on every attempt becomes a
-            # structured error row (exit code 3), never a raw crash
-            # of the whole table run.
-            finished[name] = VerificationResult(program=name,
-                                                error=reply.describe())
-            return False
-        collector.absorb(reply)
-        if reply.kind == "error":
-            exc = reply.value
-            if keep_going and isinstance(exc, (ReproError, OSError)):
-                finished[name] = VerificationResult(program=name,
-                                                    error=str(exc))
-                return False
-            errors.append(exc)  # type: ignore[arg-type]
-            return True
-        run = rebuild_run(reply.value)  # type: ignore[arg-type]
-        finished[name] = run
-        if run.interrupted:
-            # Mirror the sequential loop: keep the partial program
-            # report, then stop the whole table.
-            saw_engine_interrupt[0] = True
-            return True
-        return False
-
-    interrupted = run_supervised(payloads, list(names),
-                                 worker_mod.run_program_task,
-                                 jobs, on_reply)
-    if errors:
-        raise errors[0]
-    results = [finished[name] for name in names if name in finished]
-    return results, interrupted or saw_engine_interrupt[0]

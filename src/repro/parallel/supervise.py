@@ -19,8 +19,8 @@ worker processes:
   its in-flight task is **retried with exponential backoff**;
 * a task that out-lives :attr:`SupervisedPool.max_attempts` dispatch
   attempts is **quarantined**: its callback receives a
-  :class:`CrashReply` instead of a worker reply, which the callers
-  fold into a structured ``ERROR`` row.  Every submitted task is
+  :class:`CrashReply` instead of a worker reply, which the fan-out
+  folds into a structured ``ERROR`` row.  Every submitted task is
   therefore answered — by a reply, a crash report, or a shutdown
   notice — and nothing ever waits forever;
 * fault-injection is first-class: the ``serve.worker_spawn`` and
@@ -33,15 +33,14 @@ worker processes:
   "every fresh worker crashes once".
 
 The pool is *persistent*: :meth:`SupervisedPool.submit` can be called
-at any time, which is what the serving daemon needs; the one-shot CLI
-path uses the :func:`run_supervised` batch wrapper.
+at any time.  Its one client is
+:class:`repro.parallel.pool.SubgoalFanOut`, over a pool per
+``verify -j`` run, per ``table -j`` run, or per daemon.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import queue
 import threading
 import time
 from collections import deque
@@ -602,45 +601,3 @@ class SupervisedPool:
             except OSError:
                 pass
 
-
-def run_supervised(payloads: List[object], keys: List[object],
-                   task_fn: Callable[[object], object], jobs: int,
-                   on_reply: Callable[[object], bool],
-                   max_attempts: int = 3,
-                   hang_timeout: Optional[float] = None) -> bool:
-    """One-shot batch over a supervised pool (the CLI path).
-
-    ``on_reply`` sees each worker reply or :class:`CrashReply` in
-    arrival order and returns True to stop early.  Returns True when
-    the run was interrupted (a worker reported KeyboardInterrupt, or
-    the caller received one).  On any early exit the pool is
-    terminated, not drained, so no orphaned worker outlives the run.
-    """
-    if not payloads:
-        return False
-    pool = SupervisedPool(task_fn, max(1, min(jobs, len(payloads))),
-                          faults_spec=os.environ.get("REPRO_FAULTS", ""),
-                          max_attempts=max_attempts,
-                          hang_timeout=hang_timeout)
-    replies: "queue.Queue[object]" = queue.Queue()
-    interrupted = False
-    clean = False
-    try:
-        for payload, key in zip(payloads, keys):
-            pool.submit(payload, key, replies.put)
-        remaining = len(payloads)
-        while remaining:
-            reply = replies.get()
-            remaining -= 1
-            if getattr(reply, "kind", None) == "interrupted":
-                interrupted = True
-                break
-            if on_reply(reply):
-                break
-        else:
-            clean = True
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        pool.close(drain=clean)
-    return interrupted

@@ -2,14 +2,13 @@
 
 Subgoals themselves cannot travel: their obligations close over
 formula builders and interpreter state.  Instead, a worker receives
-the *typed program* (or just a program name, for ``table`` tasks) and
-an index, re-derives the subgoal deterministically, and ships back a
-:class:`WireSubgoalResult` — plain data mirroring
-:class:`repro.verify.engine.SubgoalResult` field for field.  The
-parent re-attaches its own :class:`Subgoal` object (or a
-:class:`WireSubgoal` shim when it never parsed the program), so the
-reassembled ``VerificationResult`` renders and serialises exactly as
-a sequential run's would.
+the *typed program* and a subgoal index, re-derives the subgoal
+deterministically, and ships back a :class:`WireSubgoalResult` —
+plain data mirroring :class:`repro.verify.engine.SubgoalResult` field
+for field.  The parent re-attaches its own :class:`Subgoal` object,
+so the reassembled ``VerificationResult`` renders and serialises
+exactly as a sequential run's would.  The verdict cache stores the
+same wire form.
 
 Spans travel as their ``to_dict()`` trees and are rebuilt into real
 :class:`~repro.obs.trace.Span` objects by :func:`span_from_dict`, so
@@ -18,14 +17,14 @@ Spans travel as their ``to_dict()`` trees and are rebuilt into real
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.mso.compile import CompilationStats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span
 from repro.verify.counterexample import Counterexample
-from repro.verify.engine import Outcome, SubgoalResult, VerificationResult
+from repro.verify.engine import Outcome, Subgoal, SubgoalResult
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +51,8 @@ class EngineOptions:
 
 @dataclass
 class SubgoalTask:
-    """Decide subgoal ``index`` of ``program`` (a ``verify -j`` unit)."""
+    """Decide subgoal ``index`` of ``program`` — the one unit of
+    parallel work, for ``verify -j``, ``table -j`` and the daemon."""
 
     program: object  # TypedProgram; picklable AST dataclasses
     index: int
@@ -60,15 +60,6 @@ class SubgoalTask:
     #: This task's share of the run deadline (None = no deadline);
     #: replaces ``options.timeout`` so a stuck sibling cannot starve it.
     timeout_slice: Optional[float] = None
-
-
-@dataclass
-class ProgramTask:
-    """Verify one whole program (a ``table``/batch unit)."""
-
-    name: str
-    options: EngineOptions
-    keep_going: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -93,9 +84,6 @@ class WireSubgoalResult:
     stats: CompilationStats
     span: Optional[Dict[str, object]]
     counterexample: Optional[Counterexample]
-    #: Check-obligation names, so text reports of rebuilt results can
-    #: list them even when the parent never split the program.
-    checks: Tuple[str, ...] = ()
     statements_before: int = 0
     statements_after: int = 0
     variable_order: Optional[Tuple[str, ...]] = None
@@ -103,55 +91,19 @@ class WireSubgoalResult:
 
 
 @dataclass
-class WireRun:
-    """One whole-program verification, flattened."""
-
-    program: str
-    subgoals: List[WireSubgoalResult] = field(default_factory=list)
-    error: Optional[str] = None
-    interrupted: bool = False
-    budget: Optional[Dict[str, object]] = None
-
-
-@dataclass
 class WorkerReply:
     """Envelope for everything a worker sends back for one task.
 
     ``kind`` is one of ``result`` (value = WireSubgoalResult),
-    ``run`` (value = WireRun), ``error`` (value = the pickled
-    exception, re-raised or degraded by the parent) or
-    ``interrupted`` (value = None; the worker saw KeyboardInterrupt).
+    ``error`` (value = the pickled exception, which the parent turns
+    into an ``ERROR`` row) or ``interrupted`` (value = None; the
+    worker saw KeyboardInterrupt).
     """
 
     kind: str
     key: object
     value: object
-    pid: int = 0
     metrics: Optional[MetricsRegistry] = None
-
-
-# ----------------------------------------------------------------------
-# Subgoal shim and (de)serialisation helpers
-# ----------------------------------------------------------------------
-
-@dataclass
-class WireSubgoal:
-    """Stands in for a :class:`~repro.verify.engine.Subgoal` when the
-    parent never split the program itself (``table`` tasks).  Carries
-    what the reporters read: the description and the check names."""
-
-    description: str
-    check: Tuple["WireObligation", ...] = ()
-    assume: Tuple["WireObligation", ...] = ()
-    statements: Tuple[object, ...] = ()
-
-
-@dataclass
-class WireObligation:
-    """Name-only obligation for :class:`WireSubgoal` (the text report
-    lists check names for failed/verbose subgoals)."""
-
-    name: str
 
 
 def span_from_dict(document: Optional[Dict[str, object]]) -> Optional[Span]:
@@ -189,7 +141,6 @@ def wire_subgoal_result(index: int,
         stats=result.stats,
         span=result.span.to_dict() if result.span is not None else None,
         counterexample=result.counterexample,
-        checks=tuple(item.name for item in result.subgoal.check),
         statements_before=result.statements_before,
         statements_after=result.statements_after,
         variable_order=result.variable_order,
@@ -198,17 +149,9 @@ def wire_subgoal_result(index: int,
 
 
 def rebuild_subgoal_result(wire: WireSubgoalResult,
-                           subgoal: object = None) -> SubgoalResult:
-    """Inflate a wire result back into a :class:`SubgoalResult`.
-
-    ``subgoal`` is the parent's own Subgoal object when it has one
-    (``verify -j``); otherwise a :class:`WireSubgoal` shim carrying
-    the worker-reported description and check names.
-    """
-    if subgoal is None:
-        subgoal = WireSubgoal(
-            description=wire.description,
-            check=tuple(WireObligation(name) for name in wire.checks))
+                           subgoal: Subgoal) -> SubgoalResult:
+    """Inflate a wire result back into a :class:`SubgoalResult` for
+    the parent's own ``subgoal``."""
     return SubgoalResult(
         subgoal=subgoal,
         valid=wire.valid,
@@ -229,24 +172,3 @@ def rebuild_subgoal_result(wire: WireSubgoalResult,
         cache=wire.cache,
     )
 
-
-def wire_run(result: VerificationResult) -> WireRun:
-    """Flatten one whole-program result for the trip to the parent."""
-    return WireRun(
-        program=result.program,
-        subgoals=[wire_subgoal_result(i, sub)
-                  for i, sub in enumerate(result.results)],
-        error=result.error,
-        interrupted=result.interrupted,
-        budget=result.budget,
-    )
-
-
-def rebuild_run(wire: WireRun) -> VerificationResult:
-    """Inflate a wire run back into a :class:`VerificationResult`."""
-    result = VerificationResult(program=wire.program, error=wire.error,
-                                interrupted=wire.interrupted,
-                                budget=wire.budget)
-    for sub in wire.subgoals:
-        result.results.append(rebuild_subgoal_result(sub))
-    return result

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.errors import ReproError
+
 LIST_TYPES = """\
 type
   Color = (red, blue);
@@ -386,11 +388,15 @@ FAULTY_PROGRAMS: Dict[str, str] = {
 def load_source(name_or_path: str) -> str:
     """Resolve a bundled program name or a filesystem path to source.
 
-    The CLI and the parallel table workers share this: a worker
-    process receives only the name/path, so loading must be a pure
-    function of it.
+    A path that cannot be read raises :class:`ReproError`, so every
+    subcommand reports it as a front-end error (exit 2).
     """
     if name_or_path in ALL_PROGRAMS:
         return ALL_PROGRAMS[name_or_path]
-    with open(name_or_path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(name_or_path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ReproError(f"cannot read {name_or_path}: {reason}") \
+            from exc

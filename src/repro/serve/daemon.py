@@ -9,11 +9,12 @@ One process, three layers:
   queue and concurrency gate.  Requests past the queue bound bounce
   immediately with ``429`` + ``Retry-After``.
 * **Execution layer** — the front end (parse, type-check, subgoal
-  split) runs on the handler thread; decisions fan out as
-  ``SubgoalTask``s over one shared
-  :class:`~repro.parallel.supervise.SupervisedPool`, so a crashed or
-  hung worker is respawned and retried, and a poison subgoal
-  degrades to a structured ``ERROR`` row in the response.
+  split) runs on the handler thread; decisions go through the same
+  :class:`~repro.parallel.pool.SubgoalFanOut` as ``verify -j``, over
+  one :class:`~repro.parallel.supervise.SupervisedPool` shared by
+  every request, so a crashed or hung worker is respawned and
+  retried, and a poison subgoal degrades to a structured ``ERROR``
+  row in the response.
 
 Lifecycle: SIGTERM (or SIGINT) starts the drain — admission closes
 (new requests see ``503``), in-flight requests get ``drain_grace``
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import signal
 import socket
 import sys
@@ -40,11 +40,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.parallel.pool import (crash_subgoal_wire, engine_options,
-                                 error_subgoal_wire, partition_deadline)
-from repro.parallel.supervise import CrashReply, SupervisedPool
-from repro.parallel.wire import SubgoalTask, rebuild_subgoal_result
-from repro.parallel import worker as worker_mod
+from repro.parallel.pool import SubgoalFanOut, open_pool
 from repro.pascal import check_program, parse_program
 from repro.serve.admission import (AdmissionController, Draining,
                                    QueueFull)
@@ -52,7 +48,7 @@ from repro.serve.jobs import JobTable
 from repro.serve.protocol import (BudgetCaps, ProtocolError,
                                   VerifyRequest, parse_batch_request,
                                   parse_verify_request)
-from repro.verify.engine import VerificationResult, Verifier
+from repro.verify.engine import Verifier
 
 #: Schema of the envelope documents (errors, stats, jobs) — the
 #: verification report inside keeps its own schema_version 2.
@@ -109,11 +105,8 @@ class VerificationService:
         self.config = config
         self.metrics = MetricsRegistry()
         set_metrics(self.metrics)
-        self._merge_lock = threading.Lock()
-        self.pool = SupervisedPool(
-            worker_mod.run_subgoal_task, jobs=config.workers,
-            faults_spec=os.environ.get("REPRO_FAULTS", ""),
-            hang_timeout=config.hang_timeout)
+        self.pool = open_pool(config.workers,
+                              hang_timeout=config.hang_timeout)
         self.admission = AdmissionController(config.max_concurrent,
                                              config.max_queue)
         self.jobs = JobTable(config.job_retention)
@@ -228,12 +221,9 @@ class VerificationService:
 
     def _run_verification(self, request: VerifyRequest
                           ) -> Dict[str, object]:
-        """Front end on this thread, decisions on the shared pool.
-
-        Mirrors :func:`repro.parallel.pool.verify_parallel`, except
-        the pool outlives the request and is shared with every other
-        request, so subgoals from concurrent requests interleave
-        fairly."""
+        """Front end on this thread, decisions on the shared pool,
+        through the same fan-out as ``verify -j``: subgoals from
+        concurrent requests interleave fairly."""
         program = check_program(parse_program(request.source))
         verifier = Verifier(
             program,
@@ -245,82 +235,14 @@ class VerificationService:
             max_bdd_nodes=request.max_bdd_nodes,
             max_states=request.max_states,
             max_steps=request.max_steps)
-        subgoals = verifier.collect_subgoals()
-        options = engine_options(verifier)
-
-        result = VerificationResult(program.name)
-        budget = verifier._make_budget(request.timeout)
-        if budget is not None:
-            result.budget = budget.limits()
-
-        slice_seconds = partition_deadline(
-            request.timeout, len(subgoals), self.pool.jobs)
-
-        replies: "queue.Queue[object]" = queue.Queue()
-        for index in range(len(subgoals)):
-            self.pool.submit(
-                SubgoalTask(program=program, index=index,
-                            options=options,
-                            timeout_slice=slice_seconds),
-                key=index, on_done=replies.put)
-
-        # The supervisor guarantees one answer per task (a reply, a
-        # quarantine notice, or a shutdown notice); the hard deadline
-        # is a second, independent fence so a supervisor bug can
-        # never hang a request.
+        fan_out = SubgoalFanOut(self.pool, verifier,
+                                verifier.collect_subgoals())
+        # The supervisor answers every task (a reply, a quarantine
+        # notice, or a shutdown notice); this deadline is a second,
+        # independent fence so a supervisor bug can never hang a
+        # request.
         slack = (request.timeout or 600.0) * 2 + 30.0
-        hard_deadline = time.monotonic() + slack
-        wires: Dict[int, object] = {}
-        for _ in range(len(subgoals)):
-            remaining = hard_deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                reply = replies.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if isinstance(reply, CrashReply):
-                index = int(reply.key)  # type: ignore[arg-type]
-                wires[index] = crash_subgoal_wire(
-                    index, reply,
-                    getattr(subgoals[index], "description", ""))
-                continue
-            self._absorb_metrics(reply)
-            index = int(reply.key)
-            if reply.kind == "result":
-                wires[index] = reply.value
-            elif reply.kind == "interrupted":
-                wires[index] = error_subgoal_wire(
-                    index, "worker interrupted mid-decision",
-                    description=getattr(subgoals[index],
-                                        "description", ""))
-            else:  # "error": an exception escaped the engine's ladder
-                wires[index] = error_subgoal_wire(
-                    index, f"worker error: {reply.value}",
-                    description=getattr(subgoals[index],
-                                        "description", ""))
-        for index in range(len(subgoals)):
-            if index not in wires:
-                wires[index] = error_subgoal_wire(
-                    index, "request aborted before the subgoal was "
-                           "decided",
-                    description=getattr(subgoals[index],
-                                        "description", ""))
-
-        for index in range(len(subgoals)):
-            decided = rebuild_subgoal_result(wires[index],
-                                             subgoals[index])
-            result.results.append(decided)
-            self.metrics.counter(
-                f"verify.outcome.{decided.outcome.value}").inc()
-        return result.to_dict()
-
-    def _absorb_metrics(self, reply: object) -> None:
-        metrics = getattr(reply, "metrics", None)
-        if metrics is None:
-            return
-        with self._merge_lock:
-            self.metrics.merge(metrics)
+        return fan_out.result(time.monotonic() + slack).to_dict()
 
     # ------------------------------------------------------------------
     # Introspection endpoints
@@ -341,8 +263,7 @@ class VerificationService:
                      "status": "ready"}
 
     def stats_document(self) -> Dict[str, object]:
-        with self._merge_lock:
-            metric_table = self.metrics.to_dict()
+        metric_table = self.metrics.to_dict()
 
         def value(name: str) -> int:
             entry = metric_table.get(name)

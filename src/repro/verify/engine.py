@@ -112,7 +112,9 @@ def _outcome_of_exception(exc: BaseException) -> Outcome:
     return Outcome.ERROR
 
 
-def _describe_exception(exc: BaseException) -> str:
+def describe_exception(exc: BaseException) -> str:
+    """The text of a degraded row's ``error``: the exception's type
+    and message (a budget trip's own message says both)."""
     if isinstance(exc, BudgetExceeded):
         return str(exc)
     message = str(exc)
@@ -406,6 +408,24 @@ def verify_program(program: TypedProgram,
     return Verifier(program, **kwargs).verify()  # type: ignore[arg-type]
 
 
+def record_run_metrics(result: VerificationResult) -> None:
+    """The run-level metrics of one verification, whether its
+    subgoals were decided in this process or by workers: one
+    ``verify.outcome.*`` count per subgoal, and gauges for the track
+    counts and the budget steps the subgoals spent."""
+    metrics = current_metrics()
+    for decided in result.results:
+        metrics.counter(f"verify.outcome.{decided.outcome.value}").inc()
+    # Gauges mirror the JSON report: the max over subgoals, not
+    # whichever subgoal happened to be decided last.
+    metrics.gauge("verify.tracks_before").set(result.tracks_before)
+    metrics.gauge("verify.tracks_after").set(result.tracks_after)
+    if result.budget is not None:
+        metrics.gauge("verify.budget.steps").set(sum(
+            int(decided.budget.get("steps") or 0)
+            for decided in result.results if decided.budget))
+
+
 class Verifier:
     """Decides all of one program's subgoals.
 
@@ -550,7 +570,6 @@ class Verifier:
                 subgoals = self.collect_subgoals()
                 if sp:
                     sp.annotate(subgoals=len(subgoals))
-            metrics = current_metrics()
             for subgoal in subgoals:
                 try:
                     decided = self.decide(subgoal)
@@ -560,17 +579,7 @@ class Verifier:
                     result.interrupted = True
                     break
                 result.results.append(decided)
-                metrics.counter(
-                    f"verify.outcome.{decided.outcome.value}").inc()
-            # Gauges mirror the JSON report: the max over subgoals,
-            # not whichever subgoal happened to be decided last.
-            metrics.gauge("verify.tracks_before").set(
-                result.tracks_before)
-            metrics.gauge("verify.tracks_after").set(
-                result.tracks_after)
-            if self._budget is not None:
-                metrics.gauge("verify.budget.steps").set(
-                    self._budget.steps)
+            record_run_metrics(result)
         return result
 
     # ------------------------------------------------------------------
@@ -907,7 +916,7 @@ class Verifier:
                              stats=CompilationStats(),
                              formula_size=0, seconds=elapsed,
                              outcome=outcome,
-                             error=_describe_exception(last_exc),
+                             error=describe_exception(last_exc),
                              attempts=attempts, budget=consumed,
                              cache=(None if fingerprint is None else
                                     {"fingerprint": fingerprint,

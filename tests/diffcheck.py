@@ -13,10 +13,11 @@ engines — by cross-checking verdicts against the reference procedure:
   compilation statistics, span structure, schema;
 * do the same for ``table --json`` over the whole corpus;
 * a deterministic-seed **stress mode** re-runs the corpus under
-  injected faults and 1-second budgets with workers enabled, and
-  asserts every run still degrades structurally: no raw traceback on
-  stderr, only structured outcomes in the report, and no orphaned
-  worker process after the run;
+  injected faults and 1-second budgets with workers enabled — single
+  programs through ``verify -j`` and the whole name list through
+  ``table --jobs`` — and asserts every run still degrades
+  structurally: no raw traceback on stderr, only structured outcomes
+  in every report, and no orphaned worker process after the run;
 * a **feature mode** (``--features``) cross-checks the engine's
   verdict-preserving optimisations the same way: every program with
   statement slicing + track reduction + a cold verdict cache, then a
@@ -106,7 +107,10 @@ def fault_env(spec: str):
     invocation, and the supervised pool forwards the same variable to
     every worker it spawns — so the environment, not
     ``faults.injected``, is the one channel that reaches both the
-    parent and every worker under any start method.
+    parent and every worker under any start method.  On exit the
+    process-wide plan is re-installed from the restored environment,
+    so a plan a CLI run installed cannot fire in later in-process
+    code.
     """
     previous = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = spec
@@ -117,6 +121,7 @@ def fault_env(spec: str):
             os.environ.pop("REPRO_FAULTS", None)
         else:
             os.environ["REPRO_FAULTS"] = previous
+        faults.install_from_env()
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +291,13 @@ def stress(names: Optional[Sequence[str]] = None, jobs: int = 2,
            seed: int = 1997, rounds: int = 8) -> List[str]:
     """Deterministically-seeded fault/budget storm under parallelism.
 
-    Each round picks a program and a fault plan from the seeded RNG,
-    runs it with ``-j jobs --timeout 1``, and asserts the run stayed
-    structured: a documented exit code, no raw traceback on stderr,
-    only structured outcomes in the report, and no orphaned workers.
+    Each round picks a program and a fault plan from the seeded RNG.
+    Even rounds run ``verify NAME -j jobs --timeout 1``; odd rounds
+    run ``table NAMES --jobs jobs --timeout 1`` over every name, so
+    one pool is shared across programs (and a fault can interrupt a
+    table midway).  Every round must stay structured: a documented
+    exit code, no raw traceback on stderr, only structured outcomes
+    in every report, and no orphaned workers.
     """
     names = list(names or ALL_PROGRAMS)
     rng = random.Random(seed)
@@ -302,12 +310,17 @@ def stress(names: Optional[Sequence[str]] = None, jobs: int = 2,
         kind = rng.choice(kinds)
         spec = f"{site}:{kind}" if rng.random() < 0.5 \
             else f"{site}:{kind}:1"
-        label = f"stress[{round_index}] {name} -j {jobs} " \
-                f"REPRO_FAULTS={spec}"
+        if round_index % 2:
+            argv = ["table", *names, "--json", "--jobs", str(jobs),
+                    "--timeout", "1"]
+            label = f"stress[{round_index}] table --jobs {jobs}"
+        else:
+            argv = ["verify", name, "--json", "-j", str(jobs),
+                    "--timeout", "1"]
+            label = f"stress[{round_index}] {name} -j {jobs}"
+        label += f" REPRO_FAULTS={spec}"
         with fault_env(spec):
-            code, document, err = run_cli_json(
-                ["verify", name, "--json", "-j", str(jobs),
-                 "--timeout", "1"])
+            code, document, err = run_cli_json(argv)
         assert_no_orphans()
         if "Traceback" in err:
             problems.append(f"{label}: raw traceback on stderr")
@@ -317,13 +330,16 @@ def stress(names: Optional[Sequence[str]] = None, jobs: int = 2,
             if code != 130:
                 problems.append(f"{label}: no JSON flushed (exit {code})")
             continue
-        if document.get("outcome") not in STRUCTURED_OUTCOMES:
-            problems.append(f"{label}: unstructured run outcome "
-                            f"{document.get('outcome')!r}")
-        for subgoal in document.get("subgoals", ()):
-            if subgoal.get("outcome") not in STRUCTURED_OUTCOMES:
-                problems.append(f"{label}: unstructured subgoal "
-                                f"outcome {subgoal.get('outcome')!r}")
+        reports = document if isinstance(document, list) else [document]
+        for report in reports:
+            if report.get("outcome") not in STRUCTURED_OUTCOMES:
+                problems.append(f"{label}: unstructured run outcome "
+                                f"{report.get('outcome')!r}")
+            for subgoal in report.get("subgoals", ()):
+                if subgoal.get("outcome") not in STRUCTURED_OUTCOMES:
+                    problems.append(
+                        f"{label}: unstructured subgoal outcome "
+                        f"{subgoal.get('outcome')!r}")
     return problems
 
 

@@ -51,9 +51,22 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_file(self):
-        with pytest.raises(OSError):
-            main(["verify", "/nonexistent/path.pas"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "/nonexistent/path.pas"],
+        ["table", "/nonexistent/path.pas"],
+        ["table", "/nonexistent/path.pas", "--jobs", "2"],
+        ["analyze", "/nonexistent/path.pas"],
+        ["lint", "/nonexistent/path.pas"],
+        ["synth", "x = nil", "--program", "/nonexistent/path.pas"],
+    ], ids=["verify", "table", "table-jobs", "analyze", "lint", "synth"])
+    def test_missing_file(self, argv, capsys):
+        # An unreadable source is a front-end error: one line on
+        # stderr and exit 2, never a traceback or exit 1 ("failed").
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "/nonexistent/path.pas" in err
+        assert "Traceback" not in err
 
 
 class TestObservabilityFlags:

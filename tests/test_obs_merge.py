@@ -168,17 +168,6 @@ class TestRegistryMerge:
         a.merge(b)
         assert a.to_dict() == joint.to_dict()
 
-    @given(a=registries())
-    def test_prefix_namespaces_do_not_collide(self, a):
-        parent = MetricsRegistry()
-        parent.merge(a)
-        parent.merge(a, prefix="worker.0.")
-        flat = parent.to_dict()
-        for name in a.to_dict():
-            assert name in flat
-            assert "worker.0." + name in flat
-            assert flat["worker.0." + name] == flat[name]
-
     def test_null_registry_merge_is_noop(self):
         source = MetricsRegistry()
         source.counter("x").inc(5)

@@ -3,23 +3,30 @@
 The heavy lifting is done by the differential harness in
 ``diffcheck.py``; these tests run it over a fast subset of the corpus
 (CI's parallel-smoke job sweeps the whole corpus) and add unit-level
-coverage for jobs resolution, wire fidelity, and fault containment.
+coverage for jobs resolution, wire fidelity, fault containment, and
+the one fan-out's rule for every kind of reply.
 """
 
 import json
 import math
 import multiprocessing
 import os
+import time
 
 import pytest
 
 import diffcheck
 from repro.errors import ReproError
-from repro.parallel import SupervisedPool, resolve_jobs
+from repro.obs.metrics import MetricsRegistry, activate_metrics
+from repro.parallel import (CrashReply, SubgoalFanOut, SupervisedPool,
+                            resolve_jobs)
 from repro.parallel.pool import partition_deadline
-from repro.parallel.wire import span_from_dict
+from repro.parallel.wire import (WorkerReply, span_from_dict,
+                                 wire_subgoal_result)
+from repro.pascal import check_program, parse_program
 from repro.programs import ALL_PROGRAMS
 from repro.verify import Outcome, verify_source
+from repro.verify.engine import Verifier
 
 from util import wrap_program
 
@@ -242,9 +249,10 @@ class TestCrashSupervision:
         assert diffcheck.normalize(par_docs) == \
             diffcheck.normalize(seq_docs)
 
-    def test_program_task_crash_degrades_table_row(self):
-        # A table worker that always dies quarantines its program as
-        # a structured error row; the run itself still completes.
+    def test_table_crash_quarantines_every_subgoal(self):
+        # Under table -j every worker dies: each of the program's
+        # subgoals is quarantined as its own structured ERROR row,
+        # and the run itself still completes.
         with diffcheck.fault_env("verify.decide:exit"):
             code, documents, err = diffcheck.run_cli_json(
                 ["table", "searchwf", "--json", "--jobs", "2"])
@@ -253,7 +261,149 @@ class TestCrashSupervision:
         assert code == 3
         (document,) = documents
         assert document["outcome"] == "ERROR"
-        assert "worker" in document["error"]
+        assert document["error"] is None
+        assert len(document["subgoals"]) == 3
+        for subgoal in document["subgoals"]:
+            assert subgoal["outcome"] == "ERROR"
+            assert "worker crashed" in subgoal["error"]
+            assert "quarantined" in subgoal["error"]
+
+
+class ScriptedPool:
+    """Stands in for :class:`SupervisedPool`: each submitted task is
+    answered at once from a script (subgoal index -> reply), and an
+    index the script leaves out is never answered."""
+
+    jobs = 2
+
+    def __init__(self, script):
+        self.script = script
+        self.submitted = []
+
+    def submit(self, payload, key, on_done):
+        self.submitted.append((key, payload.index))
+        if key in self.script:
+            on_done(self.script[key])
+
+
+def _reply(kind, index, value=None):
+    """A worker reply whose metrics count one ``worker.replies``."""
+    metrics = MetricsRegistry()
+    metrics.counter("worker.replies").inc()
+    return WorkerReply(kind=kind, key=index, value=value,
+                       metrics=metrics)
+
+
+class TestFanOutReplies:
+    """The fan-out's one rule for every answer, driven without
+    processes through a scripted pool."""
+
+    @pytest.fixture(scope="class")
+    def verifier(self):
+        # Four straight-line subgoals split at cut-point assertions.
+        source = wrap_program(
+            "  p := x;\n  {p = x}\n  q := p;\n  {q = x}\n"
+            "  p := nil;\n  {q = x & p = nil}\n  q := x",
+            post="q = x & p = nil")
+        return Verifier(check_program(parse_program(source)))
+
+    def _gather(self, verifier, script, deadline=None):
+        subgoals = verifier.collect_subgoals()
+        pool = ScriptedPool(script)
+        registry = MetricsRegistry()
+        with activate_metrics(registry):
+            result = SubgoalFanOut(pool, verifier,
+                                   subgoals).result(deadline)
+        indices = list(range(len(subgoals)))
+        assert pool.submitted == list(zip(indices, indices))
+        return subgoals, result, registry
+
+    def test_result_crash_error_and_silence(self, verifier):
+        first = verifier.collect_subgoals()[0]
+        decided = wire_subgoal_result(0, verifier.decide(first))
+        crash = CrashReply(key=1, attempts=3, exitcode=-9,
+                           reason="crashed")
+        script = {0: _reply("result", 0, decided), 1: crash,
+                  2: _reply("error", 2, RuntimeError("boom"))}
+        subgoals, result, registry = self._gather(
+            verifier, script, deadline=time.monotonic() + 0.2)
+        assert len(subgoals) == 4
+        assert not result.interrupted
+        assert [row.subgoal for row in result.results] == subgoals
+        assert [row.outcome for row in result.results] == [
+            Outcome.VERIFIED, Outcome.ERROR, Outcome.ERROR,
+            Outcome.ERROR]
+        assert result.results[0].error is None
+        assert result.results[1].error == crash.describe()
+        assert result.results[1].attempts == 3
+        assert result.results[2].error == \
+            "worker error: RuntimeError: boom"
+        assert "deadline" in result.results[3].error
+        assert result.outcome is Outcome.ERROR
+        # Two worker replies carried metrics; each merged once.
+        assert registry.counter("worker.replies").value == 2
+        assert registry.counter("verify.outcome.VERIFIED").value == 1
+        assert registry.counter("verify.outcome.ERROR").value == 3
+
+    def test_interrupted_reply_stops_the_gather(self, verifier):
+        crash = CrashReply(key=0, attempts=1, exitcode=None,
+                           reason="shutdown")
+        script = {0: crash, 1: _reply("interrupted", 1),
+                  2: _reply("error", 2, RuntimeError("late"))}
+        subgoals, result, registry = self._gather(verifier, script)
+        assert result.interrupted
+        assert result.outcome is Outcome.ERROR
+        # Only the rows gathered before the interrupt are kept, and
+        # no deadline row is added for the rest.
+        assert [row.subgoal for row in result.results] == subgoals[:1]
+        assert "shutdown" in result.results[0].error
+        assert registry.counter("worker.replies").value == 1
+        assert registry.counter("verify.outcome.ERROR").value == 1
+
+    def test_keyboard_interrupt_before_any_answer(self, verifier,
+                                                  monkeypatch):
+        subgoals = verifier.collect_subgoals()
+        fan_out = SubgoalFanOut(ScriptedPool({}), verifier, subgoals)
+
+        def ctrl_c(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fan_out._replies, "get", ctrl_c)
+        result = fan_out.result()
+        assert result.interrupted
+        assert result.results == []
+        assert result.outcome is Outcome.INTERRUPTED
+        assert result.to_dict()["interrupted"] is True
+
+
+class TestOnePoolPerTable:
+    def test_table_shares_one_pool(self, monkeypatch):
+        pools, submitted = [], []
+        original_init = SupervisedPool.__init__
+        original_submit = SupervisedPool.submit
+
+        def spy_init(self, *args, **kwargs):
+            pools.append(self)
+            original_init(self, *args, **kwargs)
+
+        def spy_submit(self, payload, key, *args, **kwargs):
+            submitted.append((payload.program.name, payload.index))
+            return original_submit(self, payload, key, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "__init__", spy_init)
+        monkeypatch.setattr(SupervisedPool, "submit", spy_submit)
+        code, documents, _ = diffcheck.run_cli_json(
+            ["table", "searchwf", "swap", "reverse", "--json",
+             "--jobs", "2"])
+        diffcheck.assert_no_orphans()
+        assert code == 1
+        assert len(pools) == 1
+        expected = [(document["program"], index)
+                    for document in documents
+                    for index in range(len(document["subgoals"]))]
+        assert [name for name, _ in expected] == \
+            ["searchwf"] * 3 + ["swap"] + ["reverse"] * 3
+        assert submitted == expected
 
 
 class TestWireFidelity:

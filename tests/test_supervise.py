@@ -13,8 +13,7 @@ import time
 
 import pytest
 
-from repro.parallel.supervise import (CrashReply, SupervisedPool,
-                                      run_supervised)
+from repro.parallel.supervise import CrashReply, SupervisedPool
 from repro.robust import faults
 
 from diffcheck import assert_no_orphans
@@ -96,15 +95,6 @@ class TestHappyPath:
         for worker in stats["workers"]:
             assert worker["state"] in ("busy", "idle")
             assert worker["pid"] > 0
-
-    def test_batch_wrapper_preserves_replies(self):
-        replies = []
-        interrupted = run_supervised(
-            ["a", "b", "c"], [0, 1, 2], echo_task, 2,
-            lambda reply: replies.append(reply) and False)
-        assert interrupted is False
-        assert sorted(payload for _, payload in replies) == \
-            ["a", "b", "c"]
 
 
 class TestCrashRecovery:
