@@ -38,7 +38,7 @@ from repro.pascal.typed import (TAssertStmt, TAssign, TDispose, TIf,
 from repro.stores.schema import Schema
 
 #: Bump when the cached value format or this canonicalization changes.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _code_digest: List[str] = []
 

@@ -124,19 +124,6 @@ class Mtbdd:
         also the peak live count — the paper's space measure)."""
         return len(self._nodes)
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Memo-cache hit/miss counters and table sizes, JSON-ready."""
-        return {
-            "apply_hits": self.apply_hits,
-            "apply_misses": self.apply_misses,
-            "map_hits": self.map_hits,
-            "map_misses": self.map_misses,
-            "restrict_hits": self.restrict_hits,
-            "restrict_misses": self.restrict_misses,
-            "unique_table_size": self.unique_table_size,
-            "peak_nodes": self.peak_nodes,
-        }
-
     # ------------------------------------------------------------------
     # Combinators
     # ------------------------------------------------------------------

@@ -237,7 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        faults.install_from_env()
+        previous_plan = faults.install_from_env()
     except faults.FaultSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -254,6 +254,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    finally:
+        # The plan lives for this call only: an in-process caller
+        # gets back whatever plan it had before.
+        faults.install(previous_plan)
 
 
 def _add_engine_flags(command: argparse.ArgumentParser) -> None:

@@ -1,11 +1,11 @@
 """Counters, gauges and histograms for the symbolic pipeline.
 
 The BDD managers keep their own always-on integer counters (memo hits
-and misses are too hot for any indirection; see
-:meth:`repro.bdd.mtbdd.Mtbdd.cache_stats`).  This registry covers
-everything above that layer: distributions of intermediate automaton
-sizes, projection fan-outs, per-phase counts — measurements that are
-only interesting when someone asked for them.
+and misses are too hot for any indirection; they reach reports through
+:meth:`repro.mso.compile.CompilationStats.capture_manager`).  This
+registry covers everything above that layer: distributions of
+intermediate automaton sizes, projection fan-outs, per-phase counts —
+measurements that are only interesting when someone asked for them.
 
 Mirrors :mod:`repro.obs.trace`: a process-wide active registry
 defaulting to :data:`NULL_REGISTRY`, whose metric handles are shared

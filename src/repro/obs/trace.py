@@ -60,7 +60,7 @@ class Span:
         self.children: List["Span"] = []
         self.start = 0.0
         self.end: Optional[float] = None
-        self._tracer = tracer
+        self._tracer: Optional["Tracer"] = tracer
 
     # -- context manager ----------------------------------------------
 
@@ -69,7 +69,11 @@ class Span:
 
     def __exit__(self, *exc: object) -> bool:
         self.end = time.perf_counter()
-        self._tracer._pop(self)
+        # A closed span forgets its tracer, so a finished span tree
+        # pickles on its own (across the worker pipe, into the cache).
+        if self._tracer is not None:
+            self._tracer._pop(self)
+            self._tracer = None
         return False
 
     def __bool__(self) -> bool:

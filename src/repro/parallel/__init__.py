@@ -11,7 +11,9 @@ serve`` all go through the one fan-out,
 
 Module map:
 
-* :mod:`repro.parallel.wire` — picklable task/result payloads;
+* :mod:`repro.parallel.wire` — the task (the pickled verifier and a
+  subgoal index) and the reply (the worker's result without its
+  subgoal);
 * :mod:`repro.parallel.worker` — the worker-process entry point;
 * :mod:`repro.parallel.supervise` — the supervised pool: a FIFO task
   queue, heartbeat and exit-code watch, respawn, retry with backoff,
@@ -28,12 +30,11 @@ sequential and parallel runs over the whole corpus must produce
 identical normalized reports.
 """
 
-from repro.parallel.pool import (SubgoalFanOut, engine_options,
-                                 open_pool, partition_deadline,
-                                 resolve_jobs, verify_parallel)
+from repro.parallel.pool import (SubgoalFanOut, open_pool,
+                                 partition_deadline, resolve_jobs,
+                                 verify_parallel)
 from repro.parallel.supervise import CrashReply, SupervisedPool
-from repro.parallel.wire import EngineOptions
 
-__all__ = ["CrashReply", "EngineOptions", "SubgoalFanOut",
-           "SupervisedPool", "engine_options", "open_pool",
-           "partition_deadline", "resolve_jobs", "verify_parallel"]
+__all__ = ["CrashReply", "SubgoalFanOut", "SupervisedPool",
+           "open_pool", "partition_deadline", "resolve_jobs",
+           "verify_parallel"]

@@ -16,9 +16,11 @@ The design here buys that equivalence structurally:
 * its tasks enter the supervised pool's FIFO queue
   (:mod:`repro.parallel.supervise`) in index order, and an idle
   worker takes the next one;
-* workers ship back plain data (:mod:`repro.parallel.wire`); the
-  parent reassembles results **in subgoal order**, so every reporter
-  and the JSON document see the order a sequential run would produce;
+* a task carries the parent's pickled verifier, and a worker ships
+  back its ``SubgoalResult`` without the subgoal
+  (:mod:`repro.parallel.wire`); the parent re-attaches its own and
+  reassembles results **in subgoal order**, so every reporter and the
+  JSON document see the order a sequential run would produce;
 * each reply's worker metrics registry is merged once into the
   parent's (counters sum, gauges max — the max-over-subgoals rule),
   and per-subgoal ``CompilationStats`` ride inside each result.
@@ -42,8 +44,8 @@ from repro.errors import ReproError
 from repro.mso.compile import CompilationStats
 from repro.obs.metrics import current_metrics
 from repro.parallel.supervise import CrashReply, SupervisedPool
-from repro.parallel.wire import (EngineOptions, SubgoalTask,
-                                 WorkerReply, rebuild_subgoal_result)
+from repro.parallel.wire import (SubgoalTask, WorkerReply,
+                                 rebuild_subgoal_result)
 from repro.parallel.worker import run_subgoal_task
 from repro.verify.engine import (Outcome, Subgoal, SubgoalResult,
                                  VerificationResult, Verifier,
@@ -83,23 +85,6 @@ def partition_deadline(remaining: Optional[float], pending: int,
     return remaining / waves
 
 
-def engine_options(verifier: Verifier) -> EngineOptions:
-    """The picklable option set a worker needs to replay decisions."""
-    tracer = verifier.tracer
-    return EngineOptions(
-        simulate=verifier.simulate,
-        reduce=verifier.reduce,
-        slice=verifier.slice,
-        cache_dir=verifier.cache_dir,
-        cache_max_mb=verifier.cache_max_mb,
-        timeout=verifier.timeout,
-        max_bdd_nodes=verifier.max_bdd_nodes,
-        max_states=verifier.max_states,
-        max_steps=verifier.max_steps,
-        trace_detail=None if tracer is None else bool(tracer.detail),
-    )
-
-
 def open_pool(jobs: int,
               hang_timeout: Optional[float] = None) -> SupervisedPool:
     """A supervised pool of subgoal workers.  ``REPRO_FAULTS`` is
@@ -135,13 +120,10 @@ class SubgoalFanOut:
         self.subgoals = subgoals
         self._replies: "queue.Queue[Union[CrashReply, WorkerReply]]" \
             = queue.Queue()
-        options = engine_options(verifier)
         timeout_slice = partition_deadline(verifier.timeout,
                                            len(subgoals), pool.jobs)
         for index in range(len(subgoals)):
-            pool.submit(SubgoalTask(program=verifier.program,
-                                    index=index, options=options,
-                                    timeout_slice=timeout_slice),
+            pool.submit(SubgoalTask(verifier, index, timeout_slice),
                         index, self._replies.put)
 
     def result(self, deadline: Optional[float] = None

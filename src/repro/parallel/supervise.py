@@ -54,6 +54,11 @@ from repro.robust import faults
 #: Seconds between worker heartbeats.
 HEARTBEAT_INTERVAL = 0.2
 
+#: Seconds before the first retry (of a task, or of a failed spawn);
+#: the delay doubles per attempt up to :data:`BACKOFF_CAP`.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
 #: How long the dispatcher sleeps waiting for pipe traffic.
 _POLL_SECONDS = 0.05
 
@@ -122,7 +127,7 @@ def _worker_main(conn, task_fn: Callable[[object], object],
     The beat thread shares the pipe with the task loop under a lock.
     An injected ``serve.heartbeat`` fault silently ends the beat
     thread — from the supervisor's side that worker looks hung, which
-    is exactly the failure the site exists to simulate.
+    is exactly the failure the site exists to stage.
     """
     if faults_spec:
         try:
@@ -139,7 +144,7 @@ def _worker_main(conn, task_fn: Callable[[object], object],
                 with send_lock:
                     conn.send(("hb",))
             except Exception:  # noqa: BLE001 — a dead beat thread is
-                # the simulated failure; the supervisor notices.
+                # the injected failure; the supervisor notices.
                 return
 
     threading.Thread(target=beat, daemon=True).start()
@@ -171,8 +176,6 @@ class SupervisedPool:
             (and re-forwarded, possibly with consumed crash rules, to
             re-spawned ones).
         max_attempts: dispatch attempts per task before quarantine.
-        backoff_base: first retry delay; doubles per attempt.
-        backoff_cap: upper bound on the retry delay.
         hang_timeout: seconds without a heartbeat after which a *busy*
             worker is declared hung and killed; None disables hang
             detection (death detection stays on).
@@ -180,13 +183,10 @@ class SupervisedPool:
 
     def __init__(self, task_fn: Callable[[object], object], jobs: int,
                  faults_spec: str = "", max_attempts: int = 3,
-                 backoff_base: float = 0.05, backoff_cap: float = 2.0,
                  hang_timeout: Optional[float] = None) -> None:
         self.task_fn = task_fn
         self.jobs = max(1, jobs)
         self.max_attempts = max(1, max_attempts)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.hang_timeout = hang_timeout
         self._fault_plan: Optional[faults.FaultPlan] = None
         self._fault_spec = faults_spec
@@ -444,8 +444,7 @@ class SupervisedPool:
                 task, CrashReply(key=task.key, attempts=task.attempts,
                                  exitcode=exitcode, reason=reason))
             return
-        delay = min(self.backoff_cap,
-                    self.backoff_base * (2 ** (task.attempts - 1)))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (task.attempts - 1)))
         task.not_before = time.monotonic() + delay
         current_metrics().counter("serve.pool.retries").inc()
         with self._lock:
@@ -516,9 +515,8 @@ class SupervisedPool:
             # pool is beyond saving.
             with self._lock:
                 self._spawn_failures += 1
-                delay = min(self.backoff_cap,
-                            self.backoff_base * (2 ** min(
-                                self._spawn_failures, 6)))
+                delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** min(
+                    self._spawn_failures, 6)))
                 self._spawn_not_before = time.monotonic() + delay
             current_metrics().counter(
                 "serve.pool.spawn_failures").inc()

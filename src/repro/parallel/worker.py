@@ -2,9 +2,13 @@
 
 Each worker process owns its own world: a fresh BDD manager per
 decision attempt (the engine already guarantees that), its own metrics
-registry, its own tracer, and its own budget carved out of the run
-deadline.  Nothing is shared with the parent but the pickled task in
-and the pickled :class:`~repro.parallel.wire.WorkerReply` out.
+registry, and its own budget carved out of the run deadline.  The
+task's pickled :class:`~repro.verify.engine.Verifier` arrives with a
+fresh tracer of its own when the parent's had one.  Nothing is shared
+with the parent but the pickled task in and the pickled
+:class:`~repro.parallel.wire.WorkerReply` out, whose result is the
+worker's :class:`~repro.verify.engine.SubgoalResult` without its
+subgoal.
 
 A worker never lets an exception escape: the engine's degradation
 ladder already folds per-subgoal failures into structured outcomes,
@@ -18,39 +22,21 @@ identical to the in-process path.
 
 from __future__ import annotations
 
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, activate_metrics
 from repro.parallel.wire import (SubgoalTask, WorkerReply,
                                  wire_subgoal_result)
-from repro.verify.engine import Verifier
 
 
 def run_subgoal_task(task: SubgoalTask) -> WorkerReply:
-    """Decide one subgoal of an already-typed program."""
+    """Decide one subgoal with the parent's verifier, under this
+    worker's own metrics registry."""
     metrics = MetricsRegistry()
-    options = task.options
     try:
         with activate_metrics(metrics):
-            verifier = Verifier(task.program,  # type: ignore[arg-type]
-                                simulate=options.simulate,
-                                reduce=options.reduce,
-                                slice=options.slice,
-                                cache_dir=options.cache_dir,
-                                cache_max_mb=options.cache_max_mb,
-                                timeout=options.timeout,
-                                max_bdd_nodes=options.max_bdd_nodes,
-                                max_states=options.max_states,
-                                max_steps=options.max_steps)
-            if options.trace_detail is not None:
-                tracer = obs_trace.Tracer(detail=options.trace_detail)
-                with obs_trace.activate(tracer):
-                    result = verifier.decide_index(
-                        task.index, timeout=task.timeout_slice)
-            else:
-                result = verifier.decide_index(
-                    task.index, timeout=task.timeout_slice)
+            result = task.verifier.decide_index(
+                task.index, timeout=task.timeout_slice)
         return WorkerReply(kind="result", key=task.index,
-                           value=wire_subgoal_result(task.index, result),
+                           value=wire_subgoal_result(result),
                            metrics=metrics)
     except KeyboardInterrupt:
         return WorkerReply(kind="interrupted", key=task.index,

@@ -7,8 +7,8 @@ pipeline site and an exception kind, and the site's
 :func:`fire` call raises that exception when the pipeline reaches it.
 
 Plans come from the ``REPRO_FAULTS`` environment variable (the CLI
-installs it on startup) or from the :func:`injected` context manager
-(tests).  The spec grammar is a comma-separated list of rules::
+installs it for the duration of each call) or from the
+:func:`injected` context manager (tests).  The spec grammar is a comma-separated list of rules::
 
     site:kind[:count]
 
@@ -214,11 +214,15 @@ def install(plan: Optional[FaultPlan]) -> None:
     _PLAN = plan
 
 
-def install_from_env(environ: Optional[Dict[str, str]] = None) -> None:
-    """Install the plan described by ``REPRO_FAULTS``, or clear it."""
+def install_from_env(environ: Optional[Dict[str, str]] = None
+                     ) -> Optional[FaultPlan]:
+    """Install the plan described by ``REPRO_FAULTS``, or clear it;
+    returns the plan it replaced, for :func:`install` to restore."""
     env = os.environ if environ is None else environ
     spec = env.get("REPRO_FAULTS", "")
+    previous = _PLAN
     install(parse_plan(spec) if spec.strip() else None)
+    return previous
 
 
 @contextmanager

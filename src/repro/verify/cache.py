@@ -9,11 +9,12 @@ disk — the seed of ROADMAP's verification-as-a-service direction.
 
 Design points:
 
-* **values are wire results** — the same flattened, picklable
-  :class:`repro.parallel.wire.WireSubgoalResult` the parallel executor
-  ships between processes, re-inflated against the caller's own
-  ``Subgoal``.  A cache hit therefore renders and serialises exactly
-  like a fresh decision (modulo wall-clock time and the hit marker);
+* **values are decided results** — the engine's own
+  :class:`repro.verify.engine.SubgoalResult`, stored without its
+  ``Subgoal`` (the same record a parallel worker sends back) and
+  re-attached to the caller's own.  A cache hit therefore renders and
+  serialises exactly like a fresh decision (modulo wall-clock time
+  and the hit marker);
 * **only clean verdicts are stored** — a degraded outcome (timeout,
   budget, error) or a retry-ladder success under a *different* plan
   than the configured one says nothing about what the next run would
@@ -63,7 +64,7 @@ STALE_LOCK_SECONDS = 60.0
 
 
 class VerdictCache:
-    """An on-disk fingerprint -> wire-result store."""
+    """An on-disk fingerprint -> decided-result store."""
 
     def __init__(self, root: str,
                  max_mb: Optional[float] = None) -> None:
@@ -78,18 +79,18 @@ class VerdictCache:
         return os.path.join(self.directory, f"{fingerprint}.pkl")
 
     def lookup(self, fingerprint: str):
-        """The stored wire result, or None on a miss (including any
+        """The stored result, or None on a miss (including any
         corrupt, truncated or unreadable entry)."""
         started = time.perf_counter()
         path = self._path(fingerprint)
         try:
             with open(path, "rb") as handle:
-                wire = pickle.load(handle)
+                record = pickle.load(handle)
             # Minimal shape check: a foreign object in the store must
             # read as a miss, not surface later as an attribute error.
-            if not hasattr(wire, "outcome") or \
-                    not hasattr(wire, "stats"):
-                raise ValueError("not a wire subgoal result")
+            if not hasattr(record, "outcome") or \
+                    not hasattr(record, "stats"):
+                raise ValueError("not a subgoal result")
         except KeyboardInterrupt:
             raise
         except Exception:  # noqa: BLE001 — tolerance is the contract
@@ -105,10 +106,10 @@ class VerdictCache:
         metrics.counter("verify.cache.hits").inc()
         metrics.histogram("verify.cache.lookup_seconds").observe(
             time.perf_counter() - started)
-        return wire
+        return record
 
-    def store(self, fingerprint: str, wire: object) -> None:
-        """Persist one wire result; failures are silently dropped (a
+    def store(self, fingerprint: str, record: object) -> None:
+        """Persist one result; failures are silently dropped (a
         read-only or full cache directory must not fail the run)."""
         try:
             faults.fire("serve.cache_write")
@@ -126,7 +127,7 @@ class VerdictCache:
             try:
                 temporary = f"{final}.{os.getpid()}.tmp"
                 with open(temporary, "wb") as handle:
-                    pickle.dump(wire, handle, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(record, handle, pickle.HIGHEST_PROTOCOL)
                 os.replace(temporary, final)
             finally:
                 try:

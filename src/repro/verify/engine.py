@@ -25,7 +25,7 @@ decoded into a concrete store and simulated for explanation (§5).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
@@ -152,7 +152,9 @@ class Subgoal:
 
 @dataclass
 class SubgoalResult:
-    """Outcome of deciding one subgoal."""
+    """Outcome of deciding one subgoal.  Without its ``subgoal``, it
+    is the record a parallel worker sends back and the verdict cache
+    stores."""
 
     subgoal: Subgoal
     valid: bool
@@ -451,8 +453,9 @@ class Verifier:
             megabytes — least-recently-used entries are evicted once
             the cache grows past it.  None (the default) = unbounded.
         tracer: record phase spans into this tracer for the duration
-            of :meth:`verify` (None leaves the process's active tracer
-            in charge — usually the no-op sink).
+            of :meth:`verify` and :meth:`decide_index` (None leaves the
+            process's active tracer in charge — usually the no-op
+            sink).
         timeout: wall-clock budget in seconds for the whole run; the
             deadline is absolute, so once it passes every remaining
             subgoal degrades to a ``TIMEOUT`` outcome quickly.
@@ -502,6 +505,15 @@ class Verifier:
         self._guard_cache: Dict[Tuple[int, int, str],
                                 Tuple[Formula, Formula]] = {}
 
+    def __getstate__(self) -> Dict[str, object]:
+        """A worker's copy: the typed program and every setting.  This
+        process's guard-formula cache and budget stay behind, and a
+        tracer travels as a fresh one with the same ``detail``."""
+        state = dict(self.__dict__, _guard_cache={}, _budget=None)
+        if self.tracer is not None:
+            state["tracer"] = obs_trace.Tracer(detail=self.tracer.detail)
+        return state
+
     # ------------------------------------------------------------------
 
     def _make_budget(self,
@@ -517,6 +529,12 @@ class Verifier:
                       max_states=self.max_states,
                       max_steps=self.max_steps)
 
+    def _tracing(self):
+        """Activate this verifier's tracer; without one, the process's
+        active tracer stays in charge."""
+        return obs_trace.activate(self.tracer if self.tracer is not None
+                                  else obs_trace.current_tracer())
+
     def verify(self) -> VerificationResult:
         """Collect and decide every subgoal."""
         if self.jobs > 1:
@@ -526,10 +544,8 @@ class Verifier:
             return verify_parallel(self)
         self._budget = self._make_budget(self.timeout)
         try:
-            if self.tracer is not None:
-                with obs_trace.activate(self.tracer):
-                    return self._run_budgeted()
-            return self._run_budgeted()
+            with self._tracing():
+                return self._run_budgeted()
         finally:
             self._budget = None
 
@@ -547,17 +563,18 @@ class Verifier:
         deterministic, so parent and worker agree on the numbering
         without shipping the (unpicklable) subgoal closures across
         the process boundary.  ``timeout`` replaces the run timeout —
-        the worker's slice of the partitioned run deadline.
+        the worker's slice of the partitioned run deadline.  Like
+        :meth:`verify`, it runs under this verifier's tracer.
         """
         effective = self.timeout if timeout is None else timeout
         self._budget = self._make_budget(effective)
         try:
-            subgoals = self.collect_subgoals()
-            subgoal = subgoals[index]
-            if self._budget is not None:
-                with robust_budget.activate(self._budget):
-                    return self.decide(subgoal)
-            return self.decide(subgoal)
+            with self._tracing():
+                subgoal = self.collect_subgoals()[index]
+                if self._budget is not None:
+                    with robust_budget.activate(self._budget):
+                        return self.decide(subgoal)
+                return self.decide(subgoal)
         finally:
             self._budget = None
 
@@ -759,43 +776,19 @@ class Verifier:
     def _cached_result(self, subgoal: Subgoal, fingerprint: str,
                        budget: Optional[Budget],
                        started: float) -> Optional[SubgoalResult]:
-        """Replay a stored verdict, or None on a miss."""
+        """Replay a stored verdict for ``subgoal``, or None on a miss;
+        anything stored that is not a decided :class:`SubgoalResult`
+        is a miss."""
         assert self.cache is not None
-        wire = self.cache.lookup(fingerprint)
-        if wire is None:
-            return None
-        # Deferred: wire.py imports this module at load time.
-        from repro.parallel.wire import rebuild_subgoal_result
-        try:
-            result = rebuild_subgoal_result(wire, subgoal)
-        except KeyboardInterrupt:
-            raise
-        except Exception:  # noqa: BLE001 — a bad entry is a miss
-            current_metrics().counter(
-                "verify.cache.rebuild_errors").inc()
-            return None
-        if not result.outcome.decided:
+        record = self.cache.lookup(fingerprint)
+        if not isinstance(record, SubgoalResult) or \
+                not record.outcome.decided:
             return None
         elapsed = time.perf_counter() - started
-        result.seconds = elapsed
-        result.cache = {"fingerprint": fingerprint, "hit": True}
-        result.budget = None
-        if budget is not None:
-            result.budget = {"steps": 0, "seconds": elapsed,
-                             "tripped": None}
-        return result
-
-    def _store_result(self, fingerprint: str,
-                      result: SubgoalResult) -> None:
-        assert self.cache is not None
-        from repro.parallel.wire import wire_subgoal_result
-        try:
-            wire = wire_subgoal_result(0, result)
-        except KeyboardInterrupt:
-            raise
-        except Exception:  # noqa: BLE001 — caching must never fail
-            return
-        self.cache.store(fingerprint, wire)
+        return replace(record, subgoal=subgoal, seconds=elapsed,
+                       cache={"fingerprint": fingerprint, "hit": True},
+                       budget=None if budget is None else
+                       {"steps": 0, "seconds": elapsed, "tripped": None})
 
     def analyze(self) -> Dict[str, object]:
         """The static per-subgoal preparation report behind
@@ -895,8 +888,11 @@ class Verifier:
             if fingerprint is not None:
                 result.cache = {"fingerprint": fingerprint,
                                 "hit": False}
-                if attempts == 1 and result.outcome.decided:
-                    self._store_result(fingerprint, result)
+                if attempts == 1 and self.cache is not None:
+                    # Stored without its subgoal, whose obligations
+                    # close over formula builders.
+                    record = replace(result, subgoal=None)  # type: ignore
+                    self.cache.store(fingerprint, record)
             return result
         elapsed = time.perf_counter() - started
         assert last_exc is not None

@@ -25,8 +25,8 @@ engines — by cross-checking verdicts against the reference procedure:
   (``--no-slice --no-reduce``, so a fault in the relevance pass
   cannot sit on both sides) — verdicts, outcomes and failure presence
   must be identical (the comparison is verdict-level, see
-  :func:`verdict_view`), and the warm run must answer every subgoal
-  from the cache.
+  :func:`verdict_view`); the warm run must answer every subgoal from
+  the cache, and its normalized report must equal the cold run's.
 
 Usable three ways: imported by the pytest suite (a fast subset), run
 as a script by CI's ``parallel-smoke`` job (the full corpus), or run
@@ -103,14 +103,11 @@ def assert_no_orphans() -> None:
 def fault_env(spec: str):
     """Set ``REPRO_FAULTS`` for the duration.
 
-    The CLI (re-)installs the plan from the environment on every
-    invocation, and the supervised pool forwards the same variable to
-    every worker it spawns — so the environment, not
+    The CLI installs the plan from the environment for the duration of
+    every invocation, and the supervised pool forwards the same
+    variable to every worker it spawns — so the environment, not
     ``faults.injected``, is the one channel that reaches both the
-    parent and every worker under any start method.  On exit the
-    process-wide plan is re-installed from the restored environment,
-    so a plan a CLI run installed cannot fire in later in-process
-    code.
+    parent and every worker under any start method.
     """
     previous = os.environ.get("REPRO_FAULTS")
     os.environ["REPRO_FAULTS"] = spec
@@ -121,7 +118,6 @@ def fault_env(spec: str):
             os.environ.pop("REPRO_FAULTS", None)
         else:
             os.environ["REPRO_FAULTS"] = previous
-        faults.install_from_env()
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +259,9 @@ def diff_features(name: str, jobs: int, cache_dir: str) -> List[str]:
             mismatches.append(f"{name} warm-cache -j {jobs}: only "
                               f"{hits} of {len(subgoals)} subgoals "
                               f"answered from the cache")
+    if normalize(warm_doc) != normalize(cold[1]):
+        mismatches.append(f"{name} warm-cache -j {jobs}: report "
+                          f"differs from the cold-cache run")
     return mismatches
 
 

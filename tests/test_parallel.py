@@ -7,21 +7,26 @@ coverage for jobs resolution, wire fidelity, fault containment, and
 the one fan-out's rule for every kind of reply.
 """
 
+import copy
 import json
 import math
 import multiprocessing
 import os
+import pickle
+import shutil
 import time
 
 import pytest
 
 import diffcheck
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
+from repro.exec.interpreter import Interpreter
 from repro.obs.metrics import MetricsRegistry, activate_metrics
+from repro.obs.trace import Tracer
 from repro.parallel import (CrashReply, SubgoalFanOut, SupervisedPool,
                             resolve_jobs)
 from repro.parallel.pool import partition_deadline
-from repro.parallel.wire import (WorkerReply, span_from_dict,
+from repro.parallel.wire import (WorkerReply, rebuild_subgoal_result,
                                  wire_subgoal_result)
 from repro.pascal import check_program, parse_program
 from repro.programs import ALL_PROGRAMS
@@ -320,7 +325,7 @@ class TestFanOutReplies:
 
     def test_result_crash_error_and_silence(self, verifier):
         first = verifier.collect_subgoals()[0]
-        decided = wire_subgoal_result(0, verifier.decide(first))
+        decided = wire_subgoal_result(verifier.decide(first))
         crash = CrashReply(key=1, attempts=3, exitcode=-9,
                            reason="crashed")
         script = {0: _reply("result", 0, decided), 1: crash,
@@ -387,7 +392,8 @@ class TestOnePoolPerTable:
             original_init(self, *args, **kwargs)
 
         def spy_submit(self, payload, key, *args, **kwargs):
-            submitted.append((payload.program.name, payload.index))
+            submitted.append((payload.verifier.program.name,
+                              payload.index))
             return original_submit(self, payload, key, *args, **kwargs)
 
         monkeypatch.setattr(SupervisedPool, "__init__", spy_init)
@@ -406,16 +412,94 @@ class TestOnePoolPerTable:
         assert submitted == expected
 
 
+def typed(name):
+    return check_program(parse_program(ALL_PROGRAMS[name]))
+
+
+def replays(program, result):
+    """True when the counterexample's store, run through the concrete
+    interpreter, ends in a runtime error, an ill-formed store or a
+    false check obligation."""
+    final = result.counterexample.store.clone()
+    try:
+        Interpreter(program).run_statements(final,
+                                            result.subgoal.statements)
+    except ExecutionError:
+        return True
+    return bool(final.violations()) or any(
+        item.concrete is not None and not item.concrete(final)
+        for item in result.subgoal.check)
+
+
 class TestWireFidelity:
-    def test_span_round_trip_preserves_tree(self):
-        code, document, _ = diffcheck.run_cli_json(
-            ["verify", "searchwf", "--json", "-j", "2"])
-        assert code == 0
-        for subgoal in document["subgoals"]:
-            tree = subgoal["span"]
-            rebuilt = span_from_dict(tree)
-            assert diffcheck.normalize(rebuilt.to_dict()) == \
-                diffcheck.normalize(tree)
+    """A result crosses the worker pipe, and enters the verdict
+    cache, as itself: pickled without its subgoal."""
+
+    def test_span_tree_pickles_on_its_own(self):
+        tracer = Tracer(detail=True)
+        result = Verifier(typed("searchwf"), tracer=tracer).verify()
+        assert tracer.roots
+        for span in tracer.roots + [row.span for row in result.results]:
+            blob = pickle.dumps(span)
+            assert b"Tracer" not in blob
+            assert pickle.loads(blob).to_dict() == span.to_dict()
+
+    def test_failing_subgoal_round_trip(self):
+        program = typed("swap")
+        verifier = Verifier(program, tracer=Tracer(detail=True))
+        result = next(row for row in verifier.verify().results
+                      if not row.valid)
+        record = pickle.loads(pickle.dumps(wire_subgoal_result(result)))
+        assert record.subgoal is None
+        rebuilt = rebuild_subgoal_result(record, result.subgoal)
+        assert rebuilt.to_dict() == result.to_dict()
+        assert replays(program, result)
+        assert replays(program, rebuilt)
+
+    def test_shallow_copy_keeps_the_subgoal(self):
+        result = verify_source(ALL_PROGRAMS["swap"]).results[0]
+        assert copy.copy(result).subgoal is result.subgoal
+
+    def test_pickled_verifier_decides_like_the_original(self,
+                                                        tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        original = Verifier(typed("searchwf"), reduce=False,
+                            cache_dir=cache_dir, max_states=100000,
+                            tracer=Tracer(detail=True))
+        expected = original.decide_index(1).to_dict()
+        assert original._guard_cache
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone._guard_cache == {}
+        assert clone.tracer is not original.tracer
+        assert clone.tracer.detail is True
+        assert clone.tracer.roots == []
+        # The clone must compute, not replay: empty the shared cache.
+        shutil.rmtree(cache_dir)
+        decided = clone.decide_index(1)
+        assert decided.cache["hit"] is False
+        assert decided.budget is not None
+        assert decided.tracks_before == decided.tracks_after
+        assert decided.span is not None
+        assert diffcheck.normalize(decided.to_dict()) == \
+            diffcheck.normalize(expected)
+        assert os.listdir(clone.cache.directory)
+
+    def test_worker_records_replay_in_process(self, tmp_path):
+        # Workers store the records; a sequential run then reads every
+        # one of them back, spans, stats and counterexample intact.
+        argv = ["verify", "swap", "--json", "--trace", "--cache-dir",
+                str(tmp_path)]
+        code, cold, _ = diffcheck.run_cli_json(argv + ["-j", "2"])
+        diffcheck.assert_no_orphans()
+        warm_code, warm, _ = diffcheck.run_cli_json(argv)
+        assert code == warm_code == 1
+        assert cold["cache_hits"] == 0
+        assert warm["cache_hits"] == len(warm["subgoals"]) > 0
+        assert all(subgoal["span"] is not None
+                   for subgoal in warm["subgoals"])
+        assert any(subgoal["counterexample"] is not None
+                   for subgoal in warm["subgoals"])
+        assert diffcheck.normalize(warm) == diffcheck.normalize(cold)
 
     def test_merged_stats_equal_sequential(self):
         _, seq, _ = diffcheck.run_cli_json(

@@ -63,6 +63,17 @@ class TestSpecParsing:
         assert main(["verify", "searchwf"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_cli_plan_lasts_for_the_call_only(self, monkeypatch,
+                                              capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "verify.decide:error")
+        assert main(["list"]) == 0
+        monkeypatch.delenv("REPRO_FAULTS")
+        faults.fire("verify.decide")  # the CLI's plan is gone: silent
+        with faults.injected("mso.compile:error"):
+            assert main(["list"]) == 0
+            with pytest.raises(RuntimeError):
+                faults.fire("mso.compile")  # the caller's plan is back
+
     def test_every_kind_raises_expected_type(self):
         expectations = {
             "budget": BudgetExceeded,
