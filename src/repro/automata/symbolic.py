@@ -16,7 +16,6 @@ complete.  Tracks that a transition does not test are don't-cares.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Hashable, List, Mapping,
@@ -30,12 +29,22 @@ from repro.robust.budget import tick as _budget_tick
 
 Assignment = Mapping[int, bool]
 
-_unique_counter = itertools.count()
 
+def numbering(order: List) -> Callable[[Hashable], int]:
+    """A function numbering keys 0, 1, 2, ... in the order first seen.
 
-def _fresh_key(tag: str) -> Tuple[str, int]:
-    """A memoisation key that is unique per call site invocation."""
-    return (tag, next(_unique_counter))
+    It appends each new key to ``order``, so ``order[n]`` has number n.
+    """
+    index: Dict[Hashable, int] = {}
+
+    def number(key: Hashable) -> int:
+        found = index.get(key)
+        if found is None:
+            found = index[key] = len(order)
+            order.append(key)
+        return found
+
+    return number
 
 
 def delta_from_function(mgr: Mtbdd, tracks: Sequence[int],
@@ -115,39 +124,29 @@ class SymbolicDfa:
 
         ``accept`` combines the two acceptance flags; use ``and`` for
         intersection, ``or`` for union, ``lambda a, b: a and not b``
-        for difference.
+        for difference.  Pair states are numbered as the one ``apply2``
+        per state first meets them: states in number order, symbols in
+        lexicographic order (track 0 first, False before True).
         """
         if other.mgr is not self.mgr:
             raise ValueError("product requires a shared MTBDD manager")
         faults.fire("automata.product")
         with obs_trace.span("automata.product", detail=True) as sp:
             mgr = self.mgr
-            pair_key = _fresh_key("pair")
-            index: Dict[Tuple[int, int], int] = {}
+            memo: Dict[Tuple[int, int], int] = {}
             delta: List[int] = []
             accepting: Set[int] = set()
             order: List[Tuple[int, int]] = []
-
-            def state_of(pair: Hashable) -> int:
-                found = index.get(pair)  # type: ignore[arg-type]
-                if found is None:
-                    found = len(index)
-                    index[pair] = found  # type: ignore[index]
-                    order.append(pair)  # type: ignore[arg-type]
-                return found
-
+            state_of = numbering(order)
+            pair_state = lambda a, b: state_of((a, b))
             start = state_of((self.initial, other.initial))
             cursor = 0
-            rename_key = _fresh_key("pair-rename")
             while cursor < len(order):
                 _budget_tick("automata.product")
                 _budget_check_states("automata.product", len(order))
                 left, right = order[cursor]
-                pair_delta = mgr.apply2(pair_key, lambda a, b: (a, b),
-                                        self.delta[left],
-                                        other.delta[right])
-                delta.append(mgr.map_leaves(rename_key, state_of,
-                                            pair_delta))
+                delta.append(mgr.apply2(memo, pair_state, self.delta[left],
+                                        other.delta[right]))
                 if accept(left in self.accepting,
                           right in other.accepting):
                     accepting.add(cursor)
@@ -188,17 +187,15 @@ class SymbolicDfa:
         with obs_trace.span("automata.project", detail=True,
                             track=track, states=self.num_states):
             mgr = self.mgr
-            lift_key = _fresh_key("lift")
-            union_key = _fresh_key("setunion")
+            lift: Dict[int, int] = {}
+            union: Dict[Tuple[int, int], int] = {}
             delta: List[int] = []
             for q in range(self.num_states):
                 lo = mgr.restrict(self.delta[q], {track: False})
                 hi = mgr.restrict(self.delta[q], {track: True})
-                lo_set = mgr.map_leaves(lift_key,
-                                        lambda s: frozenset([s]), lo)
-                hi_set = mgr.map_leaves(lift_key,
-                                        lambda s: frozenset([s]), hi)
-                delta.append(mgr.apply2(union_key, lambda a, b: a | b,
+                lo_set = mgr.map_leaves(lift, lambda s: frozenset([s]), lo)
+                hi_set = mgr.map_leaves(lift, lambda s: frozenset([s]), hi)
+                delta.append(mgr.apply2(union, lambda a, b: a | b,
                                         lo_set, hi_set))
             return SymbolicNfa(mgr=mgr, num_states=self.num_states,
                                initial=frozenset([self.initial]),
@@ -221,8 +218,8 @@ class SymbolicDfa:
         if len(reachable) == self.num_states:
             return self
         remap = {old: new for new, old in enumerate(sorted(reachable))}
-        rename_key = _fresh_key("trim")
-        delta = [self.mgr.map_leaves(rename_key, lambda s: remap[s],
+        memo: Dict[int, int] = {}
+        delta = [self.mgr.map_leaves(memo, lambda s: remap[s],
                                      self.delta[old])
                  for old in sorted(reachable)]
         return SymbolicDfa(
@@ -257,9 +254,9 @@ class SymbolicDfa:
         num_blocks = len(set(block))
         while True:
             _budget_tick("automata.minimize")
-            sig_key = _fresh_key("moore")
+            memo: Dict[int, int] = {}
             signatures = [
-                (block[q], mgr.map_leaves(sig_key, lambda s: block[s],
+                (block[q], mgr.map_leaves(memo, lambda s: block[s],
                                           dfa.delta[q]))
                 for q in range(dfa.num_states)]
             renumber: Dict[Tuple[int, int], int] = {}
@@ -278,8 +275,8 @@ class SymbolicDfa:
         representative: Dict[int, int] = {}
         for q in range(dfa.num_states):
             representative.setdefault(block[q], q)
-        rename_key = _fresh_key("moore-rename")
-        delta = [mgr.map_leaves(rename_key, lambda s: block[s],
+        memo = {}
+        delta = [mgr.map_leaves(memo, lambda s: block[s],
                                 dfa.delta[representative[b]])
                  for b in range(num_blocks)]
         accepting = frozenset(block[q] for q in dfa.accepting)
@@ -398,20 +395,11 @@ class SymbolicNfa:
 
     def _determinize(self) -> SymbolicDfa:
         mgr = self.mgr
-        union_key = _fresh_key("det-union")
-        rename_key = _fresh_key("det-rename")
+        union: Dict[Tuple[int, int], int] = {}
+        rename: Dict[int, int] = {}
         empty = mgr.leaf(frozenset())
-        index: Dict[FrozenSet[int], int] = {}
         order: List[FrozenSet[int]] = []
-
-        def state_of(subset: Hashable) -> int:
-            found = index.get(subset)  # type: ignore[arg-type]
-            if found is None:
-                found = len(index)
-                index[subset] = found  # type: ignore[index]
-                order.append(subset)  # type: ignore[arg-type]
-            return found
-
+        state_of = numbering(order)
         state_of(self.initial)
         delta: List[int] = []
         accepting: Set[int] = set()
@@ -422,9 +410,9 @@ class SymbolicNfa:
             subset = order[cursor]
             combined = empty
             for q in subset:
-                combined = mgr.apply2(union_key, lambda a, b: a | b,
+                combined = mgr.apply2(union, lambda a, b: a | b,
                                       combined, self.delta[q])
-            delta.append(mgr.map_leaves(rename_key, state_of, combined))
+            delta.append(mgr.map_leaves(rename, state_of, combined))
             if subset & self.accepting:
                 accepting.add(cursor)
             cursor += 1

@@ -35,7 +35,14 @@ _NODE_CHECK_MASK = 0x3FF
 
 
 class Mtbdd:
-    """A manager owning a universe of hash-consed MTBDD nodes."""
+    """A manager owning a universe of hash-consed MTBDD nodes.
+
+    The manager keeps the node store and ``restrict``'s memo, which is
+    keyed by content and so stays useful across operations.  The memos
+    of :meth:`apply2` and :meth:`map_leaves` depend on the leaf
+    operator, so each belongs to one caller's operation (one product,
+    one projection, one Moore round) and dies with it.
+    """
 
     def __init__(self) -> None:
         # Internal nodes are (level, lo, hi); leaves are
@@ -43,8 +50,6 @@ class Mtbdd:
         self._nodes: List[Tuple[int, object, object]] = []
         self._unique: Dict[Tuple[int, object, object], int] = {}
         self._leaf_index: Dict[Hashable, int] = {}
-        self._apply_memo: Dict[Tuple[object, int, int], int] = {}
-        self._map_memo: Dict[Tuple[object, int], int] = {}
         self._restrict_memo: Dict[
             Tuple[int, Tuple[Tuple[int, bool], ...]], int] = {}
         # Always-on cache statistics (plain ints: these sit inside the
@@ -128,17 +133,21 @@ class Mtbdd:
     # Combinators
     # ------------------------------------------------------------------
 
-    def apply2(self, op_key: Hashable,
+    def apply2(self, memo: Dict[Tuple[int, int], int],
                op: Callable[[Hashable, Hashable], Hashable],
                f: int, g: int) -> int:
         """Combine two MTBDDs leaf-wise with the binary operator ``op``.
 
-        ``op_key`` must uniquely identify ``op`` for memoisation (use a
-        string or the function object itself if it is a module-level
-        function).
+        ``memo`` maps each ``(f, g)`` already combined by ``op`` to its
+        result.  It belongs to the calling operation: pass the same
+        dict to every ``apply2`` of that ``op`` within the operation,
+        and never share it between two ``op``s.  The else-branch is
+        combined first, so ``op`` first meets each leaf pair in the
+        lexicographic order of the assignments reaching it (lowest
+        level most significant, False before True).
         """
-        key = (op_key, f, g)
-        cached = self._apply_memo.get(key)
+        key = (f, g)
+        cached = memo.get(key)
         if cached is not None:
             self.apply_hits += 1
             return cached
@@ -155,16 +164,20 @@ class Mtbdd:
                 (self._nodes[g][1], self._nodes[g][2])
             result = self.node(
                 top,
-                self.apply2(op_key, op, f_lo, g_lo),   # type: ignore[arg-type]
-                self.apply2(op_key, op, f_hi, g_hi))   # type: ignore[arg-type]
-        self._apply_memo[key] = result
+                self.apply2(memo, op, f_lo, g_lo),   # type: ignore[arg-type]
+                self.apply2(memo, op, f_hi, g_hi))   # type: ignore[arg-type]
+        memo[key] = result
         return result
 
-    def map_leaves(self, op_key: Hashable,
+    def map_leaves(self, memo: Dict[int, int],
                    op: Callable[[Hashable], Hashable], f: int) -> int:
-        """Rewrite every leaf value through ``op``."""
-        key = (op_key, f)
-        cached = self._map_memo.get(key)
+        """Rewrite every leaf value through ``op``.
+
+        ``memo`` maps each node already rewritten by ``op`` to its
+        result; like :meth:`apply2`'s, it belongs to one operation and
+        one ``op``.
+        """
+        cached = memo.get(f)
         if cached is not None:
             self.map_hits += 1
             return cached
@@ -174,11 +187,10 @@ class Mtbdd:
         if level == LEAF_LEVEL:
             result = self.leaf(op(lo))
         else:
-            mapped_lo = self.map_leaves(op_key, op, lo)
-            mapped_hi = self.map_leaves(op_key, op, hi)
-            result = self.node(level, mapped_lo,  # type: ignore[arg-type]
-                               mapped_hi)  # type: ignore[arg-type]
-        self._map_memo[key] = result
+            mapped_lo = self.map_leaves(memo, op, lo)  # type: ignore[arg-type]
+            mapped_hi = self.map_leaves(memo, op, hi)  # type: ignore[arg-type]
+            result = self.node(level, mapped_lo, mapped_hi)
+        memo[f] = result
         return result
 
     def restrict(self, f: int, assignment: Dict[int, bool]) -> int:

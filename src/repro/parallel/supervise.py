@@ -46,6 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.metrics import current_metrics
@@ -72,8 +73,9 @@ class CrashReply:
 
     ``reason`` is one of ``crashed`` (the worker died mid-task on
     every attempt), ``hung`` (heartbeats stopped), ``spawn-failed``
-    (no worker could be started at all), ``shutdown`` (the pool was
-    terminated with the task still outstanding) or
+    (no worker could be started at all), ``unpicklable`` (the payload
+    could not be pickled, so no worker was sent it), ``shutdown`` (the
+    pool was terminated with the task still outstanding) or
     ``supervisor-error`` (an internal dispatcher failure — every task
     is still answered).
     """
@@ -84,6 +86,8 @@ class CrashReply:
     reason: str
 
     def describe(self) -> str:
+        if self.reason == "unpicklable":
+            return "task payload cannot be pickled; task not run"
         detail = self.reason
         if self.exitcode is not None:
             detail += f", exit code {self.exitcode}"
@@ -468,11 +472,20 @@ class SupervisedPool:
                         self._queue.appendleft(task)
                     self._maybe_fail_unspawnable()
                     return
+            try:
+                message = ForkingPickler.dumps(
+                    ("task", task.seq, task.payload))
+            except Exception:  # noqa: BLE001 — pickling can raise
+                # anything; answer this task and dispatch the next.
+                with self._lock:
+                    self._outstanding -= 1
+                self._deliver_crash(task, "unpicklable")
+                continue
             task.attempts += 1
             slot.busy = task
             slot.last_beat = time.monotonic()
             try:
-                slot.conn.send(("task", task.seq, task.payload))
+                slot.conn.send_bytes(message)
             except (OSError, ValueError):
                 # The worker died between poll and send; the task
                 # never started, so the attempt does not count.

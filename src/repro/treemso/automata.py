@@ -18,11 +18,11 @@ predecessor states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Hashable, List, Optional,
-                    Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, Optional, Set,
+                    Tuple)
 
+from repro.automata.symbolic import numbering
 from repro.bdd.mtbdd import Mtbdd
-from repro.automata.symbolic import _fresh_key
 from repro.treemso.trees import Tree
 
 
@@ -72,19 +72,10 @@ class TreeDfa:
         if other.mgr is not self.mgr:
             raise ValueError("product requires a shared MTBDD manager")
         mgr = self.mgr
-        pair_key = _fresh_key("tpair")
-        rename_key = _fresh_key("tpair-rename")
-        index: Dict[Tuple[int, int], int] = {}
+        memo: Dict[Tuple[int, int], int] = {}
         order: List[Tuple[int, int]] = []
-
-        def state_of(pair: Hashable) -> int:
-            found = index.get(pair)  # type: ignore[arg-type]
-            if found is None:
-                found = len(index)
-                index[pair] = found  # type: ignore[index]
-                order.append(pair)  # type: ignore[arg-type]
-            return found
-
+        state_of = numbering(order)
+        pair_state = lambda a, b: state_of((a, b))
         state_of((self.empty, other.empty))
         delta: Dict[Tuple[int, int], int] = {}
         done = 0
@@ -95,11 +86,9 @@ class TreeDfa:
                 for ri, (r1, r2) in enumerate(snapshot):
                     if (li, ri) in delta:
                         continue
-                    combined = mgr.apply2(pair_key, lambda a, b: (a, b),
-                                          self.delta[(l1, r1)],
-                                          other.delta[(l2, r2)])
-                    delta[(li, ri)] = mgr.map_leaves(rename_key,
-                                                     state_of, combined)
+                    delta[(li, ri)] = mgr.apply2(
+                        memo, pair_state, self.delta[(l1, r1)],
+                        other.delta[(l2, r2)])
         accepting = frozenset(
             i for i, (q1, q2) in enumerate(order)
             if accept(q1 in self.accepting, q2 in other.accepting))
@@ -120,8 +109,8 @@ class TreeDfa:
     def project(self, track: int) -> "TreeNfa":
         """Erase a track (existential quantification)."""
         mgr = self.mgr
-        lift = _fresh_key("tlift")
-        union = _fresh_key("tunion")
+        lift: Dict[int, int] = {}
+        union: Dict[Tuple[int, int], int] = {}
         delta = {}
         for key, root in self.delta.items():
             lo = mgr.map_leaves(lift, lambda s: frozenset([s]),
@@ -151,10 +140,10 @@ class TreeDfa:
         if len(reachable) == self.num_states:
             return self
         remap = {old: new for new, old in enumerate(sorted(reachable))}
-        rename = _fresh_key("ttrim")
+        memo: Dict[int, int] = {}
         delta = {
             (remap[ql], remap[qr]): self.mgr.map_leaves(
-                rename, lambda s: remap[s], root)
+                memo, lambda s: remap[s], root)
             for (ql, qr), root in self.delta.items()
             if ql in reachable and qr in reachable}
         return TreeDfa(self.mgr, len(reachable), remap[self.empty],
@@ -169,9 +158,9 @@ class TreeDfa:
                  for q in range(dfa.num_states)]
         num_blocks = len(set(block))
         while True:
-            sig_key = _fresh_key("tmoore")
+            memo: Dict[int, int] = {}
             images = {
-                key: mgr.map_leaves(sig_key, lambda s: block[s], root)
+                key: mgr.map_leaves(memo, lambda s: block[s], root)
                 for key, root in dfa.delta.items()}
             signatures = []
             for q in range(dfa.num_states):
@@ -193,13 +182,13 @@ class TreeDfa:
         representative: Dict[int, int] = {}
         for q in range(dfa.num_states):
             representative.setdefault(block[q], q)
-        rename = _fresh_key("tmoore-rename")
+        memo = {}
         delta = {}
         for bl in range(num_blocks):
             for br in range(num_blocks):
                 root = dfa.delta[(representative[bl], representative[br])]
                 delta[(bl, br)] = mgr.map_leaves(
-                    rename, lambda s: block[s], root)
+                    memo, lambda s: block[s], root)
         return TreeDfa(mgr, num_blocks, block[dfa.empty],
                        frozenset(block[q] for q in dfa.accepting), delta)
 
@@ -289,20 +278,11 @@ class TreeNfa:
     def determinize(self) -> TreeDfa:
         """Subset construction on the shared diagrams."""
         mgr = self.mgr
-        union = _fresh_key("tdet-union")
-        rename = _fresh_key("tdet-rename")
+        union: Dict[Tuple[int, int], int] = {}
+        rename: Dict[int, int] = {}
         bottom = mgr.leaf(frozenset())
-        index: Dict[FrozenSet[int], int] = {}
         order: List[FrozenSet[int]] = []
-
-        def state_of(subset: Hashable) -> int:
-            found = index.get(subset)  # type: ignore[arg-type]
-            if found is None:
-                found = len(index)
-                index[subset] = found  # type: ignore[index]
-                order.append(subset)  # type: ignore[arg-type]
-            return found
-
+        state_of = numbering(order)
         state_of(frozenset([self.empty]))
         delta: Dict[Tuple[int, int], int] = {}
         done = 0

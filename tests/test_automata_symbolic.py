@@ -64,6 +64,32 @@ def _sym_word(word):
     return [SYMBOLS[index] for index in word]
 
 
+_ACCEPT = {"intersect": lambda a, b: a and b,
+           "union": lambda a, b: a or b,
+           "difference": lambda a, b: a and not b}
+
+
+def _numbered_product(left, left_table, right, right_table, accept):
+    """The reachable product with pairs numbered in discovery order:
+    states in number order, and symbols in lexicographic order with
+    track 0 most significant and False first (the order of SYMBOLS).
+    Returns its step table, accepting set and initial state."""
+    order = [(left.initial, right.initial)]
+    index = {order[0]: 0}
+    step = {}
+    for state, (p, q) in enumerate(order):
+        for symbol in range(len(SYMBOLS)):
+            pair = (left_table[(p, symbol)], right_table[(q, symbol)])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            step[(state, symbol)] = index[pair]
+    accepting = frozenset(
+        state for state, (p, q) in enumerate(order)
+        if accept(p in left.accepting, q in right.accepting))
+    return step, accepting, 0
+
+
 class TestAgainstExplicitOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_acceptance_matches(self, seed):
@@ -87,6 +113,22 @@ class TestAgainstExplicitOracle:
             for word in _words(3):
                 assert sprod.accepts(_sym_word(word)) == \
                     eprod.accepts(word), (name, word)
+
+    @pytest.mark.parametrize("name", sorted(_ACCEPT))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_product_numbers_pairs_in_discovery_order(self, seed, name):
+        """The product is this exact automaton, state numbers
+        included, not just one with the same language."""
+        rng = random.Random(seed)
+        mgr = Mtbdd()
+        sym1, t1 = _random_symbolic(rng, 4, mgr)
+        sym2, t2 = _random_symbolic(rng, 3, mgr)
+        product = getattr(sym1, name)(sym2)
+        step = {(state, symbol): product.step(state, SYMBOLS[symbol])
+                for state in range(product.num_states)
+                for symbol in range(len(SYMBOLS))}
+        assert (step, product.accepting, product.initial) == \
+            _numbered_product(sym1, t1, sym2, t2, _ACCEPT[name])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_minimize_preserves_and_shrinks(self, seed):

@@ -21,7 +21,7 @@ def _var(mgr, level):
 
 
 def _not(mgr, f):
-    return mgr.map_leaves("not", operator.not_, f)
+    return mgr.map_leaves({}, operator.not_, f)
 
 
 class TestBasics:
@@ -44,13 +44,13 @@ class TestBasics:
     def test_hash_consing_makes_equal_functions_identical(self, mgr):
         # x0 & x1 built directly and through De Morgan is one node.
         x, y = _var(mgr, 0), _var(mgr, 1)
-        left = mgr.apply2("and", operator.and_, x, y)
-        right = _not(mgr, mgr.apply2("or", operator.or_,
+        left = mgr.apply2({}, operator.and_, x, y)
+        right = _not(mgr, mgr.apply2({}, operator.or_,
                                      _not(mgr, x), _not(mgr, y)))
         assert left == right
 
     def test_map_leaves_involution(self, mgr):
-        f = mgr.apply2("xor", operator.xor, _var(mgr, 0), _var(mgr, 2))
+        f = mgr.apply2({}, operator.xor, _var(mgr, 0), _var(mgr, 2))
         assert _not(mgr, _not(mgr, f)) == f
         assert _not(mgr, f) != f
 
@@ -76,20 +76,20 @@ class TestCombinators:
     def test_apply2_pairs(self, mgr):
         f = mgr.node(0, mgr.leaf(1), mgr.leaf(2))
         g = mgr.node(1, mgr.leaf(10), mgr.leaf(20))
-        h = mgr.apply2("pair", lambda a, b: (a, b), f, g)
+        h = mgr.apply2({}, lambda a, b: (a, b), f, g)
         assert mgr.evaluate(h, {0: True, 1: False}) == (2, 10)
         assert mgr.evaluate(h, {0: False, 1: True}) == (1, 20)
 
     def test_apply2_collapses_equal_results(self, mgr):
         f = mgr.node(0, mgr.leaf(1), mgr.leaf(2))
         g = mgr.node(0, mgr.leaf(2), mgr.leaf(1))
-        total = mgr.apply2("sum", lambda a, b: a + b, f, g)
+        total = mgr.apply2({}, lambda a, b: a + b, f, g)
         assert mgr.is_leaf(total)
         assert mgr.leaf_value(total) == 3
 
     def test_map_leaves(self, mgr):
         f = mgr.node(0, mgr.leaf(1), mgr.leaf(2))
-        g = mgr.map_leaves("double", lambda v: v * 2, f)
+        g = mgr.map_leaves({}, lambda v: v * 2, f)
         assert mgr.evaluate(g, {0: True}) == 4
 
     def test_restrict(self, mgr):
@@ -102,11 +102,11 @@ class TestCombinators:
     def test_apply2_identity_and_absorbing_leaves(self, mgr):
         x = _var(mgr, 0)
         true, false = mgr.leaf(True), mgr.leaf(False)
-        assert mgr.apply2("and", operator.and_, x, true) == x
-        assert mgr.apply2("and", operator.and_, x, false) == false
-        assert mgr.apply2("or", operator.or_, x, false) == x
-        assert mgr.apply2("or", operator.or_, x, true) == true
-        assert mgr.apply2("xor", operator.xor, x, x) == false
+        assert mgr.apply2({}, operator.and_, x, true) == x
+        assert mgr.apply2({}, operator.and_, x, false) == false
+        assert mgr.apply2({}, operator.or_, x, false) == x
+        assert mgr.apply2({}, operator.or_, x, true) == true
+        assert mgr.apply2({}, operator.xor, x, x) == false
 
     def test_restrict_every_level_reaches_the_leaf(self, mgr):
         f = mgr.node(0, mgr.node(1, mgr.leaf("a"), mgr.leaf("b")),
@@ -191,7 +191,7 @@ def test_apply2_pointwise(left, right):
     mgr = Mtbdd()
     f = _from_table(mgr, left)
     g = _from_table(mgr, right)
-    h = mgr.apply2("add", lambda a, b: a + b, f, g)
+    h = mgr.apply2({}, lambda a, b: a + b, f, g)
     for bits in itertools.product([False, True], repeat=NUM_TRACKS):
         env = dict(enumerate(bits))
         index = _index(bits)
@@ -224,8 +224,9 @@ def test_apply2_commutative_op_is_canonical(left, right):
     mgr = Mtbdd()
     f = _from_table(mgr, left)
     g = _from_table(mgr, right)
-    assert mgr.apply2("add", operator.add, f, g) == \
-        mgr.apply2("add", operator.add, g, f)
+    memo = {}
+    assert mgr.apply2(memo, operator.add, f, g) == \
+        mgr.apply2(memo, operator.add, g, f)
 
 
 def _assignments():
@@ -320,7 +321,7 @@ def _build(mgr, expr):
     op, left, right = expr
     if op == "not":
         return _not(mgr, _build(mgr, left))
-    return mgr.apply2(op, _BINARY[op], _build(mgr, left),
+    return mgr.apply2({}, _BINARY[op], _build(mgr, left),
                       _build(mgr, right))
 
 
@@ -338,8 +339,8 @@ def _truth(expr, env):
 @settings(max_examples=150, deadline=None)
 @given(_exprs())
 def test_boolean_expressions_match_truth_table(expr):
-    """Several operators share one manager and its memo tables; each
-    must stay keyed apart from the others."""
+    """Several operators share one manager; each call brings its own
+    memo, so no operator can read another's entries."""
     mgr = Mtbdd()
     f = _build(mgr, expr)
     for _, env in _assignments():

@@ -172,12 +172,13 @@ class TestBddCacheStats:
         mgr = Mtbdd()
         f = mgr.node(0, mgr.leaf(0), mgr.leaf(1))
         g = mgr.node(1, mgr.leaf(0), mgr.leaf(1))
-        mgr.apply2("pair", lambda a, b: (a, b), f, g)
+        memo = {}
+        mgr.apply2(memo, lambda a, b: (a, b), f, g)
         misses = mgr.apply_misses
         assert misses > 0
         assert mgr.apply_hits == 0
         # The identical call is answered entirely from the memo table.
-        mgr.apply2("pair", lambda a, b: (a, b), f, g)
+        mgr.apply2(memo, lambda a, b: (a, b), f, g)
         assert mgr.apply_hits == 1
         assert mgr.apply_misses == misses
 
@@ -185,10 +186,11 @@ class TestBddCacheStats:
         mgr = Mtbdd()
         f = mgr.node(0, mgr.node(1, mgr.leaf(0), mgr.leaf(1)),
                      mgr.leaf(2))
-        mapped = mgr.map_leaves("inc", lambda v: v + 1, f)
+        memo = {}
+        mapped = mgr.map_leaves(memo, lambda v: v + 1, f)
         map_misses = mgr.map_misses
         assert map_misses > 0
-        assert mgr.map_leaves("inc", lambda v: v + 1, f) == mapped
+        assert mgr.map_leaves(memo, lambda v: v + 1, f) == mapped
         assert mgr.map_hits == 1
         assert mgr.map_misses == map_misses
         restricted = mgr.restrict(f, {1: True})

@@ -4,7 +4,9 @@ The §6-style statistics (largest automaton, BDD nodes, subgoal count)
 are deterministic for a fixed implementation; these tests pin them
 inside generous brackets so an accidental regression in minimisation,
 formula sharing, or the restriction technique shows up as a test
-failure rather than a silent 100x slowdown.
+failure rather than a silent 100x slowdown.  For two programs they
+also pin every count exactly, so a change to the automaton kernel
+must state which work it moved.
 """
 
 import json
@@ -75,6 +77,49 @@ def test_statistics_independent_of_hash_seed(name):
     the same in processes with different string-hash seeds, so two
     runs of the same code can be compared count for count."""
     assert _subgoal_stats(name, "0") == _subgoal_stats(name, "3")
+
+
+#: The ``stats`` fields of a subgoal, in report order.
+_FIELDS = ("max_states", "max_nodes", "products", "projections",
+           "minimizations", "compiled_nodes", "formula_memo_hits",
+           "bdd_apply_hits", "bdd_apply_misses", "bdd_map_hits",
+           "bdd_map_misses", "bdd_restrict_hits", "bdd_restrict_misses",
+           "unique_table_size", "peak_nodes")
+
+#: name -> the exact ``stats`` of each subgoal of ``verify NAME``
+#: (loop entry, invariant preservation, postcondition), in _FIELDS
+#: order.
+EXACT_STATS = {
+    "reverse": [
+        (40, 273, 218, 50, 404, 403, 14, 7167, 10490, 19404, 28455,
+         378, 928, 7039, 7208),
+        (157, 424, 348, 65, 628, 627, 58, 19402, 27670, 53501, 72270,
+         1651, 2892, 22372, 23195),
+        (40, 273, 221, 51, 409, 408, 14, 7271, 10625, 19691, 28829,
+         380, 938, 7125, 7294),
+    ],
+    "fumble": [
+        (40, 273, 218, 50, 404, 403, 14, 7167, 10490, 19404, 28455,
+         378, 928, 7039, 7208),
+        (53, 273, 348, 65, 627, 626, 59, 14853, 21332, 40302, 56517,
+         1293, 2400, 16067, 16472),
+        (40, 273, 221, 51, 409, 408, 14, 7271, 10625, 19691, 28829,
+         380, 938, 7125, 7294),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_STATS))
+def test_exact_statistics(name):
+    """Every count of every subgoal equals its pinned value, so a
+    change to the automaton kernel shows exactly which work it
+    moved."""
+    expected = [dict(zip(_FIELDS, row)) for row in EXACT_STATS[name]]
+    assert _subgoal_stats(name, "0") == expected, (
+        f"{name}: the exact work counts moved.  A kernel step that "
+        f"changes them on purpose (ROADMAP.md, 'Rebuild the automaton "
+        f"kernel step by measured step') updates EXACT_STATS and "
+        f"records the old and new counts in CHANGES.md.")
 
 
 def test_formula_sharing_keeps_sizes_linear():

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry, activate_metrics
 from repro.parallel.supervise import CrashReply, SupervisedPool
 from repro.robust import faults
 
@@ -62,6 +63,14 @@ def fire_decide_task(payload):
     return ("ok", payload)
 
 
+class Unpicklable:
+    """A payload whose pickling raises, like a task that carries an
+    open file or a lock."""
+
+    def __reduce__(self):
+        raise TypeError("this payload does not pickle")
+
+
 @pytest.fixture(autouse=True)
 def _no_orphans():
     yield
@@ -95,6 +104,35 @@ class TestHappyPath:
         for worker in stats["workers"]:
             assert worker["state"] in ("busy", "idle")
             assert worker["pid"] > 0
+
+
+class TestUnpicklableTask:
+    def test_answered_at_once_and_dispatch_goes_on(self):
+        registry = MetricsRegistry()
+        out = queue.Queue()
+        with activate_metrics(registry):
+            pool = SupervisedPool(echo_task, jobs=1)
+            try:
+                pool.submit(Unpicklable(), key="bad", on_done=out.put)
+                pool.submit("fine", key="fine", on_done=out.put)
+                deadline = time.monotonic() + 2.0
+                replies = [
+                    out.get(timeout=max(0.0, deadline - time.monotonic()))
+                    for _ in range(2)]
+                outstanding = pool.outstanding
+            finally:
+                # No drain: at a pool that loses the task, draining
+                # would wait for it forever.
+                pool.close(drain=False)
+        crashes = [r for r in replies if isinstance(r, CrashReply)]
+        assert len(crashes) == 1
+        assert crashes[0].key == "bad"
+        assert crashes[0].reason == "unpicklable"
+        assert "crash" not in crashes[0].describe()
+        assert [r for r in replies if not isinstance(r, CrashReply)] == \
+            [("echo", "fine")]
+        assert outstanding == 0
+        assert registry.counter("serve.pool.dispatch_errors").value == 0
 
 
 class TestCrashRecovery:
